@@ -2,7 +2,8 @@
 
 A replication simulates one topology for a fixed horizon of synchronous
 periods. Per period: collect proposals, let every D2D pair choose, draw the
-fading realizations, hand every agent its observation, and record metrics.
+fading realizations, hand every agent the period's one observation, and
+record metrics.
 Replications are seeded independently from the experiment seed through
 numpy's SeedSequence, so results are reproducible bit-for-bit and independent
 of execution order; the per-period draws inside a replication come from one
@@ -35,6 +36,7 @@ from .learners import (
     FixedProposalAgent,
     NonCoopAgent,
     PeriodObservation,
+    PublicRecord,
     RandomAgent,
 )
 from .matching import Matching, build_preferences, gale_shapley, is_stable
@@ -58,6 +60,7 @@ POLICIES = ("ebriq", "epsilon_greedy", "random", "noncoop", "gs_oracle")
 THROUGHPUT_MODES = ("sampled", "expected")
 
 CSV_HEADER = "period,mean_throughput,sm_fraction,mean_alpha_ratio,policy"
+_CSV_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -141,9 +144,10 @@ def make_agents(policy: str, env: SimEnvironment, learning: LearningParams,
     """Fresh per-CU agents for one replication."""
     m_range = range(env.num_cus)
     if policy == "ebriq":
+        record = PublicRecord(env.num_cus, env.num_d2d, env.sys, learning.memory_length)
         return [
             EbriQAgent(m, env.num_cus, env.num_d2d, env.direct_rates[m],
-                       env.sys, learning, env.rule.bias)
+                       env.sys, learning, env.rule.bias, record)
             for m in m_range
         ]
     if policy == "epsilon_greedy":
@@ -170,45 +174,51 @@ def make_agents(policy: str, env: SimEnvironment, learning: LearningParams,
 
 def run_period(env: SimEnvironment, agents, t: int, rng: _random.Random,
                sampled: bool = True) -> PeriodMetrics:
-    """One synchronous round; mutates the agents, returns the period metrics."""
-    proposals = tuple(agent.act(t, rng) for agent in agents)
-    winners = choice_winners(proposals, env.rule, env.num_d2d)
+    """One synchronous round; mutates the agents, returns the period metrics.
 
-    expovariate = rng.expovariate
+    Every exponential fading draw is ``-log(1 - U)`` for a uniform ``U`` from
+    ``rng.random``, which is exactly how ``random.Random.expovariate(1.0)``
+    computes it.
+    """
+    proposals = tuple([agent.act(t, rng) for agent in agents])
+    winners = tuple(choice_winners(proposals, env.rule, env.num_d2d))
+
+    random = rng.random
+    log = math.log
     log1p = math.log1p
+    c_cu, c_dt, c_dd = env.c_cu, env.c_dt, env.c_dd
+    alpha_star = env.alpha_star
     cu_throughput = 0.0
     d2d_throughput = 0.0
     num_matched = 0
     ratio_sum = 0.0
     rate_samples = [None] * env.num_cus
-    matched_cu = [False] * env.num_cus
     for n, m in enumerate(winners):
         if m is None:
             continue
         num_matched += 1
-        matched_cu[m] = True
         alpha = proposals[m].alpha
         sample = 0.5 * (
-            log1p(env.c_cu[m] * expovariate(1.0)) + log1p(env.c_dt[n] * expovariate(1.0))
+            log1p(c_cu[m] * -log(1.0 - random())) + log1p(c_dt[n] * -log(1.0 - random()))
         )
         rate_samples[m] = sample
         if sampled:
             cu_throughput += (1.0 - alpha) * sample
-            d2d_throughput += alpha * log1p(env.c_dd[n] * expovariate(1.0))
+            d2d_throughput += alpha * log1p(c_dd[n] * -log(1.0 - random()))
         else:
             cu_throughput += (1.0 - alpha) * env.relay_rates[m][n]
             d2d_throughput += alpha * env.d2d_rates[n]
-        ratio_sum += agents[m].alpha_estimate(n) / env.alpha_star[m][n]
-    for m in range(env.num_cus):
-        if not matched_cu[m]:
+        ratio_sum += agents[m].alpha_estimate(n) / alpha_star[m][n]
+    for m, sample in enumerate(rate_samples):
+        if sample is None:
             if sampled:
-                cu_throughput += log1p(env.c_cu[m] * expovariate(1.0))
+                cu_throughput += log1p(c_cu[m] * -log(1.0 - random()))
             else:
                 cu_throughput += env.direct_rates[m]
 
-    winners = tuple(winners)
-    for m, agent in enumerate(agents):
-        agent.update(PeriodObservation(proposals, winners, rate_samples[m]), t)
+    obs = PeriodObservation(proposals, winners, tuple(rate_samples))
+    for agent in agents:
+        agent.update(obs, t)
 
     return PeriodMetrics(
         period=t,
@@ -362,25 +372,25 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ResultSet:
     return results
 
 
-def _format(value: float) -> str:
-    return f"{value:.9g}"
-
-
 def emit_csv(results: ResultSet, path) -> None:
     """Write the per-period aggregates; deterministic byte-for-byte."""
     if len(results.periods) == 0:
         raise ValueError("results are empty")
     path = Path(path)
-    lines = [CSV_HEADER]
     policy = results.config.policy
-    for i, t in enumerate(results.periods):
-        lines.append(
-            f"{t},{_format(results.mean_throughput[i])},"
-            f"{_format(results.sm_fraction[i])},"
-            f"{_format(results.mean_alpha_ratio[i])},{policy}"
-        )
+    columns = (results.periods, results.mean_throughput, results.sm_fraction,
+               results.mean_alpha_ratio)
     try:
-        path.write_text("\n".join(lines) + "\n")
+        with open(path, "w") as fh:
+            fh.write(CSV_HEADER + "\n")
+            # Python floats format faster than numpy scalars; converting a
+            # chunk at a time keeps the temporary lists small.
+            for start in range(0, len(results.periods), _CSV_CHUNK_ROWS):
+                chunk = [column[start:start + _CSV_CHUNK_ROWS].tolist() for column in columns]
+                fh.write("".join([
+                    f"{t},{throughput:.9g},{sm_fraction:.9g},{alpha_ratio:.9g},{policy}\n"
+                    for t, throughput, sm_fraction, alpha_ratio in zip(*chunk)
+                ]))
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 

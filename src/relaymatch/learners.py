@@ -1,22 +1,28 @@
 """Per-CU decision policies driven by period-level observations.
 
 Each agent owns one CU's state. A period is a synchronous round: every agent
-emits a proposal, every D2D pair picks a proposer, and every agent then sees
-the joint proposals, the choices, and (if it cooperated) its realized relay
-rate. Agents never see true expected rates other than their own direct rate.
+emits a proposal, every D2D pair picks a proposer, and the harness then
+hands every agent the same ``PeriodObservation``: the joint proposals, the
+choices, and the realized relay rate of each cooperating CU. An agent reads
+only its own entry of the rate samples; the proposals and choices are common
+knowledge. Agents never see true expected rates other than their own direct
+rate.
 
 ``EbriQAgent`` is the main policy: it keeps a running-mean estimate of each
 pair's relay rate (so the implied bargained allocation converges to the true
-one), remembers the last few joint target selections, and outside of a
-decaying exploration phase plays better replies with inertia against that
-memory, scoring candidate targets with its estimated utilities. Exploring
-proposals occasionally carry an oversized allocation that any pair accepts,
-which guarantees every pair keeps being sampled.
+one), and outside of a decaying exploration phase plays better replies with
+inertia against the last few joint target selections, scoring candidate
+targets with its estimated utilities. Exploring proposals occasionally carry
+an oversized allocation that any pair accepts, which guarantees every pair
+keeps being sampled. What every CU observes alike, the announced allocations
+and the memory of joint selections, lives in one ``PublicRecord`` shared by
+all agents of a replication and updated once per period.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 from .game import PASS, Proposal
@@ -24,6 +30,7 @@ from .params import LearningParams, SystemParams
 
 __all__ = [
     "PeriodObservation",
+    "PublicRecord",
     "epsilon_schedule",
     "EbriQAgent",
     "EpsilonGreedyAgent",
@@ -32,23 +39,53 @@ __all__ = [
     "FixedProposalAgent",
 ]
 
-_NEG_INF = float("-inf")
-
 
 class PeriodObservation(NamedTuple):
-    """What one CU sees at the end of a period.
+    """What the CUs see at the end of a period; one object serves every agent.
 
-    ``own_rate_sample`` is present exactly when this CU's target picked it.
+    ``rate_samples[m]`` is CU ``m``'s realized relay rate, present exactly
+    when its target picked it. A CU reads only its own entry.
     """
 
     proposals: tuple
     d2d_choices: tuple
-    own_rate_sample: Optional[float]
+    rate_samples: tuple
 
 
 def epsilon_schedule(t: int, epsilon0: float, num_cus: int, memory_length: int) -> float:
     """Decaying exploration probability epsilon0 * t^(-1/(M*L))."""
     return epsilon0 * t ** (-1.0 / (num_cus * memory_length))
+
+
+class PublicRecord:
+    """The common knowledge of one replication's CUs.
+
+    ``announced_alphas[m][n]`` is the last bargained allocation CU ``m``
+    announced to pair ``n`` (exploration announcements are skipped; the
+    start value is ``alpha_low``), and ``memory`` holds the last
+    ``memory_length`` joint target selections. ``observe`` applies one
+    period's observation; given the same observation object again it does
+    nothing, so every agent of the replication can pass it on.
+    """
+
+    __slots__ = ("announced_alphas", "memory", "_alpha_explore", "_last")
+
+    def __init__(self, num_cus: int, num_d2d: int, sys: SystemParams, memory_length: int):
+        self.announced_alphas = [[sys.alpha_low] * num_d2d for _ in range(num_cus)]
+        self.memory = deque(maxlen=memory_length)
+        self._alpha_explore = sys.alpha_explore
+        self._last = None
+
+    def observe(self, obs: PeriodObservation) -> None:
+        if obs is self._last:
+            return
+        self._last = obs
+        announced = self.announced_alphas
+        alpha_explore = self._alpha_explore
+        for m, (n, alpha) in enumerate(obs.proposals):
+            if n is not None and alpha != alpha_explore:
+                announced[m][n] = alpha
+        self.memory.append(tuple([p.target for p in obs.proposals]))
 
 
 class _RateEstimator:
@@ -79,9 +116,14 @@ class _RateEstimator:
         self.own_alphas = [self._alpha_of(init)] * num_d2d
 
     def _alpha_of(self, rate_estimate: float) -> float:
+        """The bargained allocation implied by a relay-rate estimate, clamped."""
         alpha = (rate_estimate - self.direct_rate) / (2.0 * rate_estimate)
         sys = self.sys
-        return min(max(alpha, sys.alpha_low), sys.alpha_high)
+        if alpha < sys.alpha_low:
+            return sys.alpha_low
+        if alpha > sys.alpha_high:
+            return sys.alpha_high
+        return alpha
 
     def record_cooperation(self, n: int, rate_sample: float) -> None:
         self.coop_counts[n] += 1
@@ -90,15 +132,19 @@ class _RateEstimator:
         self.rate_estimates[n] = estimate
         self.own_alphas[n] = self._alpha_of(estimate)
 
-    def _check_observation(self, obs: PeriodObservation) -> Optional[int]:
-        """Return the pair cooperated with this period, validating the sample."""
-        own = obs.proposals[self.index]
-        chosen = own.target is not None and obs.d2d_choices[own.target] == self.index
-        if chosen and obs.own_rate_sample is None:
-            raise ValueError("chosen by target but own_rate_sample missing")
-        if not chosen and obs.own_rate_sample is not None:
-            raise ValueError("own_rate_sample present although not chosen")
-        return own.target if chosen else None
+    def _learn_from(self, obs: PeriodObservation) -> Proposal:
+        """Validate this CU's part of ``obs``, learn from its sample, return its proposal."""
+        me = self.index
+        own = obs.proposals[me]
+        sample = obs.rate_samples[me]
+        n = own.target
+        if n is not None and obs.d2d_choices[n] == me:
+            if sample is None:
+                raise ValueError("chosen by target but its rate sample is missing")
+            self.record_cooperation(n, sample)
+        elif sample is not None:
+            raise ValueError("rate sample present although not chosen")
+        return own
 
     def alpha_estimate(self, n: int) -> float:
         return self.own_alphas[n]
@@ -117,84 +163,87 @@ class EbriQAgent(_RateEstimator):
       remembered joint selections, strictly beats the previous action's
       (staying put when none does).
 
-    Updates: the chosen pair's rate estimate and implied allocation, the
-    other CUs' announced allocations (exploration announcements are skipped),
-    and the selection memory.
+    Updates: the chosen pair's rate estimate and implied allocation, and the
+    shared ``record`` (other CUs' announced allocations and the selection
+    memory). Agents of one replication share one record; an agent built
+    without one gets its own.
     """
 
-    __slots__ = ("params", "bias", "announced_alphas", "memory", "last_action",
-                 "_exponent", "_alpha_explore")
+    __slots__ = ("params", "bias", "record", "last_action")
 
     def __init__(self, index: int, num_cus: int, num_d2d: int, direct_rate: float,
-                 sys: SystemParams, params: LearningParams, bias: Sequence[float]):
+                 sys: SystemParams, params: LearningParams, bias: Sequence[float],
+                 record: Optional[PublicRecord] = None):
         super().__init__(index, num_cus, num_d2d, direct_rate, sys)
         self.params = params
         self.bias = tuple(bias)
-        self.announced_alphas = [[sys.alpha_low] * num_d2d for _ in range(num_cus)]
-        self.memory = deque(maxlen=params.memory_length)
+        if record is None:
+            record = PublicRecord(num_cus, num_d2d, sys, params.memory_length)
+        self.record = record
         self.last_action = None
-        self._exponent = -1.0 / (num_cus * params.memory_length)
-        self._alpha_explore = sys.alpha_explore
 
     def act(self, t: int, rng) -> Proposal:
-        num_d2d = self.num_d2d
+        random = rng.random
+        own_alphas = self.own_alphas
         if t <= 1:
-            target = int(rng.random() * num_d2d)
-            return Proposal(target, self.own_alphas[target])
+            target = int(random() * self.num_d2d)
+            return Proposal(target, own_alphas[target])
         params = self.params
-        if rng.random() < params.epsilon0 * t**self._exponent:
-            target = int(rng.random() * num_d2d)
-            if rng.random() < params.zeta:
-                return Proposal(target, self.own_alphas[target])
-            return Proposal(target, self._alpha_explore)
-        if rng.random() < params.xi or not self.memory:
-            return self._proposal_for(self.last_action)
-        better = self._better_replies()
-        if not better:
-            return self._proposal_for(self.last_action)
-        return self._proposal_for(better[int(rng.random() * len(better))])
+        if random() < epsilon_schedule(t, params.epsilon0, self.num_cus, params.memory_length):
+            target = int(random() * self.num_d2d)
+            if random() < params.zeta:
+                return Proposal(target, own_alphas[target])
+            return Proposal(target, self.sys.alpha_explore)
+        target = self.last_action
+        memory = self.record.memory
+        if random() >= params.xi and memory:
+            # Better replies: actions whose memory-summed estimated utility
+            # beats the last action's (opting out scores 0).
+            scores = self._summed_utilities(memory)
+            base = 0.0 if target is None else scores[target]
+            better = [n for n, score in enumerate(scores) if score > base]
+            if target is not None and 0.0 > base:
+                better.append(None)
+            if better:
+                target = better[int(random() * len(better))]
+        return PASS if target is None else Proposal(target, own_alphas[target])
 
-    def _proposal_for(self, action) -> Proposal:
-        if action is None:
-            return PASS
-        return Proposal(action, self.own_alphas[action])
+    def _summed_utilities(self, joint_selections) -> list:
+        """Estimated utility of targeting each pair, summed over ``joint_selections``.
 
-    def _better_replies(self) -> list:
-        """Actions whose memory-summed estimated utility beats the last action's."""
-        scores = self._memory_scores()
-        base = 0.0 if self.last_action is None else scores[self.last_action]
-        better = [n for n in range(self.num_d2d) if scores[n] > base]
-        if self.last_action is not None and 0.0 > base:
-            better.append(None)
-        return better
-
-    def _memory_scores(self) -> list:
-        """Summed estimated utility of targeting each pair, over the memory."""
+        Against one joint selection (a length-M target tuple; this CU's own
+        entry is ignored), targeting pair ``n`` earns the estimated
+        cooperation gain minus the negotiation cost when ``n`` would pick
+        this CU, and minus the cost alone when it would pick another. A pair
+        picks the highest announced allocation plus bias, the lower CU index
+        winning an exact tie.
+        """
         me = self.index
         theta = self.sys.theta
         bias = self.bias
-        announced = self.announced_alphas
+        announced = self.record.announced_alphas
         own_alphas = self.own_alphas
+        direct_rate = self.direct_rate
         my_bias = bias[me]
+        my_bids = [alpha + my_bias for alpha in own_alphas]
         win_value = [
-            (1.0 - own_alphas[n]) * self.rate_estimates[n] - self.direct_rate - theta
-            for n in range(self.num_d2d)
+            (1.0 - alpha) * estimate - direct_rate - theta
+            for alpha, estimate in zip(own_alphas, self.rate_estimates)
         ]
         scores = [0.0] * self.num_d2d
-        for entry in self.memory:
-            opp_best = [_NEG_INF] * self.num_d2d
-            opp_who = [-1] * self.num_d2d
-            for m2, n2 in enumerate(entry):
-                if n2 is not None and m2 != me:
-                    bid = announced[m2][n2] + bias[m2]
-                    if bid > opp_best[n2]:
-                        opp_best[n2], opp_who[n2] = bid, m2
-            for n in range(self.num_d2d):
-                my_bid = own_alphas[n] + my_bias
-                if my_bid > opp_best[n] or (my_bid == opp_best[n] and me < opp_who[n]):
-                    scores[n] += win_value[n]
-                else:
-                    scores[n] -= theta
+        previous = None
+        for entry in joint_selections:
+            if entry != previous:  # once play settles, consecutive entries repeat
+                previous = entry
+                gains = win_value
+                for m2, n2 in enumerate(entry):
+                    if n2 is not None and m2 != me:
+                        bid = announced[m2][n2] + bias[m2]
+                        if bid > my_bids[n2] or (bid == my_bids[n2] and m2 < me):
+                            if gains is win_value:
+                                gains = win_value.copy()
+                            gains[n2] = -theta
+            scores = list(map(add, scores, gains))
         return scores
 
     def estimated_utility(self, candidate, joint_selection) -> float:
@@ -205,31 +254,11 @@ class EbriQAgent(_RateEstimator):
         """
         if candidate is None:
             return 0.0
-        me = self.index
-        my_bid = self.own_alphas[candidate] + self.bias[me]
-        for m2, n2 in enumerate(joint_selection):
-            if m2 != me and n2 == candidate:
-                bid = self.announced_alphas[m2][candidate] + self.bias[m2]
-                if bid > my_bid or (bid == my_bid and m2 < me):
-                    return -self.sys.theta
-        return (
-            (1.0 - self.own_alphas[candidate]) * self.rate_estimates[candidate]
-            - self.direct_rate
-            - self.sys.theta
-        )
+        return self._summed_utilities((joint_selection,))[candidate]
 
     def update(self, obs: PeriodObservation, t: int) -> None:
-        cooperated_with = self._check_observation(obs)
-        if cooperated_with is not None:
-            self.record_cooperation(cooperated_with, obs.own_rate_sample)
-        alpha_explore = self._alpha_explore
-        announced = self.announced_alphas
-        me = self.index
-        for m2, prop in enumerate(obs.proposals):
-            if m2 != me and prop.target is not None and prop.alpha != alpha_explore:
-                announced[m2][prop.target] = prop.alpha
-        self.memory.append(tuple(p.target for p in obs.proposals))
-        self.last_action = obs.proposals[me].target
+        self.last_action = self._learn_from(obs).target
+        self.record.observe(obs)
 
 
 class EpsilonGreedyAgent(_RateEstimator):
@@ -267,13 +296,12 @@ class EpsilonGreedyAgent(_RateEstimator):
         return Proposal(target, self.own_alphas[target])
 
     def update(self, obs: PeriodObservation, t: int) -> None:
-        cooperated_with = self._check_observation(obs)
-        own = obs.proposals[self.index]
-        if cooperated_with is not None:
-            reward = (1.0 - own.alpha) * obs.own_rate_sample - self.direct_rate - self.sys.theta
-            self.record_cooperation(cooperated_with, obs.own_rate_sample)
-        else:
+        own = self._learn_from(obs)
+        sample = obs.rate_samples[self.index]
+        if sample is None:
             reward = -self.sys.theta
+        else:
+            reward = (1.0 - own.alpha) * sample - self.direct_rate - self.sys.theta
         n = own.target
         self.pull_counts[n] += 1
         self.q_values[n] += (reward - self.q_values[n]) / self.pull_counts[n]

@@ -7,14 +7,25 @@ Defaults follow the reference scenario used throughout the tests: a single
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigurationError(message)
+# The checks below build their messages only on failure: formatting them up
+# front cost more than the checks themselves, on every construction.
+
+
+def _require_finite(params) -> None:
+    """Reject infinite or NaN floats, also inside tuple-valued fields."""
+    for name, value in vars(params).items():
+        if isinstance(value, tuple):
+            bad = any(isinstance(v, float) and not math.isfinite(v) for v in value)
+        else:
+            bad = isinstance(value, float) and not math.isfinite(value)
+        if bad:
+            raise ConfigurationError(f"{name} (={value}) must be finite")
 
 
 @dataclass(frozen=True)
@@ -30,22 +41,26 @@ class TopologyParams:
     path_loss_exponent: float = 4.0
 
     def __post_init__(self):
-        _require(self.num_cus >= 1, f"num_cus (={self.num_cus}) must be >= 1")
-        _require(self.num_d2d >= 1, f"num_d2d (={self.num_d2d}) must be >= 1")
-        _require(
-            0 < self.cu_min_bs_distance <= self.cell_radius,
-            f"cu_min_bs_distance (={self.cu_min_bs_distance}) must be in (0, "
-            f"cell_radius={self.cell_radius}]",
-        )
+        _require_finite(self)
+        if not self.num_cus >= 1:
+            raise ConfigurationError(f"num_cus (={self.num_cus}) must be >= 1")
+        if not self.num_d2d >= 1:
+            raise ConfigurationError(f"num_d2d (={self.num_d2d}) must be >= 1")
+        if not 0 < self.cu_min_bs_distance <= self.cell_radius:
+            raise ConfigurationError(
+                f"cu_min_bs_distance (={self.cu_min_bs_distance}) must be in (0, "
+                f"cell_radius={self.cell_radius}]"
+            )
         for name, (low, high) in (
             ("dt_bs_distance_range", self.dt_bs_distance_range),
             ("d2d_link_range", self.d2d_link_range),
         ):
-            _require(0 < low <= high, f"{name} (={low}, {high}) must satisfy 0 < low <= high")
-        _require(
-            self.path_loss_exponent > 0,
-            f"path_loss_exponent (={self.path_loss_exponent}) must be > 0",
-        )
+            if not 0 < low <= high:
+                raise ConfigurationError(f"{name} (={low}, {high}) must satisfy 0 < low <= high")
+        if not self.path_loss_exponent > 0:
+            raise ConfigurationError(
+                f"path_loss_exponent (={self.path_loss_exponent}) must be > 0"
+            )
 
 
 @dataclass(frozen=True)
@@ -68,19 +83,23 @@ class SystemParams:
     theta_prime: float = 1e-3
 
     def __post_init__(self):
-        _require(self.p_c > 0, f"p_c (={self.p_c}) must be > 0")
-        _require(self.p_d > 0, f"p_d (={self.p_d}) must be > 0")
-        _require(self.n_0 > 0, f"n_0 (={self.n_0}) must be > 0")
-        _require(
-            0 < self.alpha_low < self.alpha_high < 1,
-            f"need 0 < alpha_low (={self.alpha_low}) < alpha_high (={self.alpha_high}) < 1",
-        )
-        _require(self.theta > 0, f"theta (={self.theta}) must be > 0")
-        _require(self.theta_prime > 0, f"theta_prime (={self.theta_prime}) must be > 0")
-        _require(
-            self.alpha_high + self.theta_prime < 1,
-            f"alpha_high + theta_prime (={self.alpha_high + self.theta_prime}) must be < 1",
-        )
+        _require_finite(self)
+        for name in ("p_c", "p_d", "n_0"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigurationError(f"{name} (={value}) must be > 0")
+        if not 0 < self.alpha_low < self.alpha_high < 1:
+            raise ConfigurationError(
+                f"need 0 < alpha_low (={self.alpha_low}) < alpha_high (={self.alpha_high}) < 1"
+            )
+        for name in ("theta", "theta_prime"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigurationError(f"{name} (={value}) must be > 0")
+        if not self.alpha_high + self.theta_prime < 1:
+            raise ConfigurationError(
+                f"alpha_high + theta_prime (={self.alpha_high + self.theta_prime}) must be < 1"
+            )
 
     @property
     def alpha_explore(self) -> float:
@@ -99,11 +118,12 @@ class LearningParams:
     horizon: int = 10_000
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("epsilon0", "zeta", "xi"):
             value = getattr(self, name)
-            _require(0 < value < 1, f"{name} (={value}) must be in (0, 1)")
-        _require(
-            self.memory_length >= 1,
-            f"memory_length (={self.memory_length}) must be >= 1",
-        )
-        _require(self.horizon >= 1, f"horizon (={self.horizon}) must be >= 1")
+            if not 0 < value < 1:
+                raise ConfigurationError(f"{name} (={value}) must be in (0, 1)")
+        for name in ("memory_length", "horizon"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ConfigurationError(f"{name} (={value}) must be >= 1")

@@ -62,6 +62,20 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [("topology", "cell_radius"), ("system", "p_c")])
+def test_non_finite_parameter_is_config_error(tmp_path, section, key):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = inf\n[learning]\nhorizon = 5\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaymatch.cli", "simulate",
+         "--config", str(path), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"configuration error: {key} (=inf) must be finite" in proc.stderr
+
+
 def test_missing_config_is_io_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "o")]) == 4

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import relaymatch as rm
+from relaymatch import learners
 from relaymatch.game import PASS, Proposal
-from relaymatch.learners import PeriodObservation, epsilon_schedule
+from relaymatch.harness import _topology_rng
+from relaymatch.learners import PeriodObservation, PublicRecord, epsilon_schedule
 
 LEARN = rm.LearningParams()
 
@@ -31,8 +33,9 @@ def obs_for(agent, proposals, choices):
     """Build a consistent observation for ``agent`` given the joint round."""
     own = proposals[agent.index]
     chosen = own.target is not None and choices[own.target] == agent.index
-    sample = 1.5 if chosen else None
-    return PeriodObservation(tuple(proposals), tuple(choices), sample)
+    samples = [None] * len(proposals)
+    samples[agent.index] = 1.5 if chosen else None
+    return PeriodObservation(tuple(proposals), tuple(choices), tuple(samples))
 
 
 class TestSchedule:
@@ -81,7 +84,7 @@ class TestEbriqActBranches:
     def test_inertia_repeats_last_action(self, sysp):
         agent = make_agent(sysp)
         agent.last_action = 0
-        agent.memory.append((0, 1))
+        agent.record.memory.append((0, 1))
         prop = agent.act(2, ScriptedRng(0.99, 0.0))  # no explore; inertia draw passes
         assert prop == Proposal(0, agent.own_alphas[0])
 
@@ -90,7 +93,7 @@ class TestEbriqActBranches:
         agent.rate_estimates = [1.2, 5.0]
         agent.own_alphas = [agent._alpha_of(1.2), agent._alpha_of(5.0)]
         agent.last_action = 0
-        agent.memory.append((0, None))  # opponent elsewhere: both pairs winnable
+        agent.record.memory.append((0, None))  # opponent elsewhere: both pairs winnable
         prop = agent.act(2, ScriptedRng(0.99, 0.99, 0.0))
         assert prop.target == 1
 
@@ -99,7 +102,7 @@ class TestEbriqActBranches:
         agent.rate_estimates = [5.0, 1.2]
         agent.own_alphas = [agent._alpha_of(5.0), agent._alpha_of(1.2)]
         agent.last_action = 0
-        agent.memory.append((0, None))
+        agent.record.memory.append((0, None))
         prop = agent.act(2, ScriptedRng(0.99, 0.99, 0.0))
         assert prop.target == 0
 
@@ -110,7 +113,7 @@ class TestEbriqActBranches:
         agent.rate_estimates = [5.0, 1.2]
         agent.own_alphas = [agent._alpha_of(5.0), agent._alpha_of(1.2)]
         agent.last_action = 0
-        agent.memory.append((0, None))
+        agent.record.memory.append((0, None))
         t = 100
         eps = epsilon_schedule(t, LEARN.epsilon0, agent.num_cus, LEARN.memory_length)
         rng = random.Random(5)
@@ -129,6 +132,24 @@ class TestEbriqActBranches:
         expect_e = eps / 2 * (1 - LEARN.zeta)
         se_e = math.sqrt(expect_e * (1 - expect_e) / trials)
         assert abs(oversized / trials - expect_e) < 4 * se_e
+
+    def test_exploration_probability_comes_from_schedule(self, sysp, monkeypatch):
+        agent = make_agent(sysp)
+        agent.last_action = 0
+        agent.record.memory.append((0, 1))
+        calls = []
+
+        def always(*args):
+            calls.append(args)
+            return 1.0
+
+        monkeypatch.setattr(learners, "epsilon_schedule", always)
+        # 0.99 < 1.0 explores: target draw 0.6 -> pair 1; 0.05 < zeta announces
+        assert agent.act(7, ScriptedRng(0.99, 0.6, 0.05)) == Proposal(1, agent.own_alphas[1])
+        assert calls == [(7, LEARN.epsilon0, agent.num_cus, LEARN.memory_length)]
+        monkeypatch.setattr(learners, "epsilon_schedule", lambda *args: 0.0)
+        # 0.0 is not below 0.0, so no exploration; the inertia draw repeats
+        assert agent.act(7, ScriptedRng(0.0, 0.0)) == Proposal(0, agent.own_alphas[0])
 
     def test_oversized_allocation_beats_any_bargained_one(self, sysp):
         agent = make_agent(sysp)
@@ -179,9 +200,9 @@ class TestEstimatorUpdates:
         agent = make_agent(sysp)
         proposals = (Proposal(0, 0.2), PASS)
         with pytest.raises(ValueError, match="missing"):
-            agent.update(PeriodObservation(proposals, (0, None), None), 2)
+            agent.update(PeriodObservation(proposals, (0, None), (None, None)), 2)
         with pytest.raises(ValueError, match="not chosen"):
-            agent.update(PeriodObservation(proposals, (1, None), 1.5), 2)
+            agent.update(PeriodObservation(proposals, (1, None), (1.5, None)), 2)
 
 
 class TestAnnouncedAllocations:
@@ -189,14 +210,14 @@ class TestAnnouncedAllocations:
         agent = make_agent(sysp)
         proposals = (PASS, Proposal(1, 0.27))
         agent.update(obs_for(agent, proposals, (None, 1)), 2)
-        assert agent.announced_alphas[1][1] == pytest.approx(0.27)
-        assert agent.announced_alphas[1][0] == sysp.alpha_low  # untouched default
+        assert agent.record.announced_alphas[1][1] == pytest.approx(0.27)
+        assert agent.record.announced_alphas[1][0] == sysp.alpha_low  # untouched default
 
     def test_skips_oversized_exploration_announcements(self, sysp):
         agent = make_agent(sysp)
         proposals = (PASS, Proposal(1, sysp.alpha_explore))
         agent.update(obs_for(agent, proposals, (None, 1)), 2)
-        assert agent.announced_alphas[1][1] == sysp.alpha_low
+        assert agent.record.announced_alphas[1][1] == sysp.alpha_low
 
 
 class TestMemory:
@@ -207,17 +228,56 @@ class TestMemory:
             proposals = (PASS, Proposal(target, 0.2))
             choices = (1, None) if target == 0 else (None, 1)
             agent.update(obs_for(agent, proposals, choices), 2 + k)
-        assert len(agent.memory) == LEARN.memory_length
-        assert list(agent.memory)[-1] == (None, (LEARN.memory_length + 2) % 2)
+        assert len(agent.record.memory) == LEARN.memory_length
+        assert list(agent.record.memory)[-1] == (None, (LEARN.memory_length + 2) % 2)
 
     def test_scores_depend_only_on_window(self, sysp):
         a = make_agent(sysp)
         b = make_agent(sysp)
         window = [(0, 1), (1, None), (0, 0), (1, 1)]
-        a.memory = deque([(0, None), (1, 0)] + window, maxlen=LEARN.memory_length)
-        b.memory = deque(window, maxlen=LEARN.memory_length)
-        assert list(a.memory) == window
-        assert a._memory_scores() == b._memory_scores()
+        a.record.memory = deque([(0, None), (1, 0)] + window, maxlen=LEARN.memory_length)
+        b.record.memory = deque(window, maxlen=LEARN.memory_length)
+        assert list(a.record.memory) == window
+        assert a._summed_utilities(a.record.memory) == b._summed_utilities(b.record.memory)
+
+
+class TestPublicRecord:
+    def test_agents_of_a_replication_share_one_record(self, sysp):
+        topology = rm.generate_topology(rm.TopologyParams(num_cus=3, num_d2d=2),
+                                        _topology_rng(2, None))
+        env = rm.SimEnvironment(topology, sysp)
+        agents = rm.make_agents("ebriq", env, LEARN)
+        record = agents[0].record
+        assert all(agent.record is record for agent in agents)
+        rng = random.Random(3)
+        for t in range(1, LEARN.memory_length + 4):
+            rm.run_period(env, agents, t, rng)
+            assert len(record.memory) == min(t, LEARN.memory_length)
+            assert record.memory[-1] == tuple(agent.last_action for agent in agents)
+        assert rm.make_agents("ebriq", env, LEARN)[0].record is not record
+
+    def test_one_observation_advances_the_record_once(self, sysp):
+        record = PublicRecord(3, 2, sysp, LEARN.memory_length)
+        agents = [rm.EbriQAgent(m, 3, 2, 1.0, sysp, LEARN, (1e-6, 2e-6, 3e-6), record)
+                  for m in range(3)]
+        proposals = (Proposal(0, 0.2), Proposal(0, 0.3), PASS)
+        obs = PeriodObservation(proposals, (1, None), (None, 1.5, None))
+        for agent in agents:
+            agent.update(obs, 2)
+        assert list(record.memory) == [(0, 0, None)]
+        assert record.announced_alphas[0][0] == 0.2
+        assert record.announced_alphas[1][0] == 0.3
+        assert agents[1].coop_counts == [1, 0]
+        assert agents[0].coop_counts == [0, 0]
+        # a second period, even with the same content, is a new observation
+        again = PeriodObservation(proposals, (1, None), (None, 1.5, None))
+        for agent in agents:
+            agent.update(again, 3)
+        assert list(record.memory) == [(0, 0, None)] * 2
+
+    def test_agent_without_record_gets_its_own(self, sysp):
+        a, b = make_agent(sysp), make_agent(sysp)
+        assert a.record is not b.record
 
 
 class TestEstimatedUtility:
@@ -234,7 +294,7 @@ class TestEstimatedUtility:
     def test_losing_to_higher_announcement_costs_theta(self, sysp):
         agent = make_agent(sysp)
         agent.own_alphas[0] = 0.2
-        agent.announced_alphas[1][0] = 0.3
+        agent.record.announced_alphas[1][0] = 0.3
         assert agent.estimated_utility(0, (None, 0)) == pytest.approx(-sysp.theta)
 
     def test_memory_scores_sum_single_evaluations(self, sysp):
@@ -244,13 +304,13 @@ class TestEstimatedUtility:
         agent.own_alphas = [agent._alpha_of(r) for r in agent.rate_estimates]
         for m in range(3):
             for n in range(3):
-                agent.announced_alphas[m][n] = float(rng.uniform(0.1, 0.5))
+                agent.record.announced_alphas[m][n] = float(rng.uniform(0.1, 0.5))
         entries = [
             tuple(None if rng.random() < 0.3 else int(rng.integers(3)) for _ in range(3))
             for _ in range(4)
         ]
-        agent.memory = deque(entries, maxlen=4)
-        scores = agent._memory_scores()
+        agent.record.memory = deque(entries, maxlen=4)
+        scores = agent._summed_utilities(agent.record.memory)
         for n in range(3):
             assert scores[n] == pytest.approx(
                 sum(agent.estimated_utility(n, e) for e in entries)
@@ -290,7 +350,7 @@ class TestEpsilonGreedy:
         agent = self.make(sysp, epsilon=0.0)
         alpha = agent.own_alphas[1]
         proposals = (Proposal(1, alpha), PASS)
-        obs = PeriodObservation(proposals, (None, 0, None), 1.5)
+        obs = PeriodObservation(proposals, (None, 0, None), (1.5, None))
         agent.update(obs, 2)
         assert agent.q_values[1] == pytest.approx((1 - alpha) * 1.5 - 1.0 - sysp.theta)
         assert agent.coop_counts[1] == 1  # shared estimator updated too
