@@ -26,7 +26,6 @@ from .game import (
     Proposal,
     TieBreakRule,
     better_reply_path,
-    d2d_choice,
     enumerate_pne,
     game_utility,
     induced_matching,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .errors import ConfigurationError
 from .params import SystemParams, TopologyParams
@@ -54,6 +54,11 @@ class Topology:
         return len(self.dt_positions)
 
 
+# Smallest normal float. A rate below it (an extreme noise power, say) would
+# carry denormal numbers through every throughput, so RateTable rejects it.
+_TINY = np.finfo(float).tiny
+
+
 @dataclass(frozen=True)
 class RateTable:
     """Expected rates (nats/use): direct uplink, relayed uplink, and D2D link."""
@@ -65,8 +70,8 @@ class RateTable:
     def __post_init__(self):
         for name in ("direct_rates", "relay_rates", "d2d_rates"):
             arr = getattr(self, name)
-            if not (np.isfinite(arr).all() and (arr > 0).all()):
-                raise ConfigurationError(f"{name} must be positive and finite")
+            if not (np.isfinite(arr).all() and (arr >= _TINY).all()):
+                raise ConfigurationError(f"{name} must be finite and at least {_TINY:.3g}")
         # Structural bound: the relay rate averages the direct leg with a
         # nonnegative forward leg, so it is at least half the direct rate.
         if (self.relay_rates < self.direct_rates[:, None] / 2 - 1e-12).any():
@@ -80,25 +85,19 @@ def mean_gain(distance: float, path_loss_exponent: float) -> float:
     return distance ** (-path_loss_exponent)
 
 
-def expected_log_rate(snr_scale: float) -> float:
-    """E[ln(1 + c*eta)] for unit-mean exponential eta, by adaptive quadrature.
+def expected_log_rate(snr_scale):
+    """E[ln(1 + c*eta)] for unit-mean exponential eta, elementwise over c.
 
-    ``snr_scale`` c is the mean SNR of the link (power * mean gain / noise).
-    Integrates the by-parts form c*exp(-x)/(1+cx), split at the x = 1/c knee
-    so the sharp high-SNR transition does not defeat the subdivision; better
-    than 1e-6 relative error over c from ~1e-8 up to ~1e11.
+    ``snr_scale`` c (a scalar or an array) is the mean SNR of the link
+    (power * mean gain / noise). Closed form: e^(1/c) E1(1/c) = U(1, 1, 1/c),
+    Tricomi's confluent hypergeometric function (DLMF chapters 6 and 13);
+    within 3e-10 relative error of mpmath over c from 1e-8 up to 1e11.
     """
-    c = float(snr_scale)
-    if c <= 0:
+    c = np.asarray(snr_scale, dtype=float)
+    if not (c > 0).all():
         raise ValueError(f"snr_scale must be > 0, got {snr_scale}")
-
-    def integrand(x):
-        return c * math.exp(-x) / (1.0 + c * x)
-
-    knee = min(1.0, 1.0 / c)
-    head, _ = integrate.quad(integrand, 0.0, knee, epsabs=0.0, epsrel=1e-9, limit=200)
-    tail, _ = integrate.quad(integrand, knee, np.inf, epsabs=0.0, epsrel=1e-9, limit=200)
-    return head + tail
+    with np.errstate(over="ignore"):  # 1/c overflows only where the rate underflows
+        return special.hyperu(1.0, 1.0, 1.0 / c)
 
 
 def _annulus_points(r_low, r_high, size, rng, area_uniform):
@@ -159,11 +158,8 @@ def true_rates(topology: Topology, sys: SystemParams) -> RateTable:
     forward-leg expected log rates; the D2D rate depends only on n because
     fading is i.i.d. across the cellular channels.
     """
-    c_cu, c_dt, c_dd = snr_scales(topology, sys)
-    direct = np.array([expected_log_rate(c) for c in c_cu])
-    forward = np.array([expected_log_rate(c) for c in c_dt])
+    direct, forward, d2d = (expected_log_rate(c) for c in snr_scales(topology, sys))
     relay = 0.5 * (direct[:, None] + forward[None, :])
-    d2d = np.array([expected_log_rate(c) for c in c_dd])
     return RateTable(direct_rates=direct, relay_rates=relay, d2d_rates=d2d)
 
 

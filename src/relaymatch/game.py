@@ -2,11 +2,17 @@
 
 Each CU either opts out or targets one D2D pair, implicitly offering the
 bargained time allocation; each pair picks the proposer offering the most
-time, with a small per-CU bias so its choice is always unique. A CU pays a
-small negotiation cost for any proposal, so at equilibrium only worthwhile
+time, the lower CU index winning an exact tie, which is how a pair ranks CUs
+in the matching (``PreferenceProfile.d2d_prefers``). A small per-CU bias,
+decreasing with the CU index, carries that tie order in the bids. A CU pays
+a small negotiation cost for any proposal, so at equilibrium only worthwhile
 cooperations survive. Pure Nash equilibria of this game induce exactly the
 stable matchings, and from any profile some sequence of single-CU strict
 improvements reaches one; ``better_reply_path`` constructs such a sequence.
+
+The pair's choice rule is coded here once: ``choice_winners`` picks every
+pair's CU from the proposals, and ``lost_pairs`` finds the pairs a CU would
+lose if it moved there. The learners score their options with the latter.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from .params import SystemParams
 __all__ = [
     "Proposal",
     "TieBreakRule",
-    "d2d_choice",
     "choice_winners",
+    "lost_pairs",
     "game_utility",
     "induced_matching",
     "enumerate_pne",
@@ -51,30 +57,24 @@ PASS = Proposal(None, None)
 class TieBreakRule:
     """Per-CU biases added to offered allocations when a pair chooses.
 
-    Biases are small enough that they never overturn a strict allocation
-    difference present in the instance, and all distinct so exact ties are
-    resolved deterministically.
+    Biases decrease with the CU index, so an exact allocation tie goes to the
+    lower index, and they are small enough that they never overturn a strict
+    allocation difference present in the instance.
     """
 
     bias: tuple
 
     @classmethod
-    def for_instance(cls, prefs: PreferenceProfile, seed: int = 0) -> "TieBreakRule":
-        """Build biases from half the smallest gap between distinct allocations.
+    def for_instance(cls, prefs: PreferenceProfile) -> "TieBreakRule":
+        """CU ``m`` of M gets kappa*(M - m)/M, kappa half the smallest allocation gap.
 
-        Bias magnitudes are ordered by a seeded random permutation of the CUs
-        and scaled down by the number of CUs so the largest pairwise bias
-        difference stays below the smallest allocation gap.
+        The largest pairwise bias difference then stays below the smallest
+        gap between distinct allocations.
         """
         num_cus = prefs.num_cus
-        values = np.unique(prefs.d2d_scores)
-        gaps = np.diff(values)
+        gaps = np.diff(np.unique(prefs.d2d_scores))
         kappa = float(gaps.min()) / 2.0 if gaps.size else 1e-12
-        order = _random.Random(seed).sample(range(num_cus), num_cus)
-        bias = [0.0] * num_cus
-        for rank, m in enumerate(order):
-            bias[m] = kappa * (num_cus - rank) / num_cus
-        return cls(tuple(bias))
+        return cls(tuple(kappa * (num_cus - m) / num_cus for m in range(num_cus)))
 
     def preserves_order(self, prefs: PreferenceProfile) -> bool:
         """Check the defining condition on every same-pair CU comparison."""
@@ -87,50 +87,54 @@ class TieBreakRule:
         return True
 
 
-def d2d_choice(n: int, proposals: Sequence[Proposal], rule: TieBreakRule) -> Optional[int]:
-    """The CU pair ``n`` picks: highest offered allocation plus bias, or None."""
-    best, best_bid = None, None
-    for m, prop in enumerate(proposals):
-        if prop.target == n:
-            bid = prop.alpha + rule.bias[m]
-            if best is None or bid > best_bid:
-                best, best_bid = m, bid
-    return best
-
-
 def choice_winners(proposals: Sequence[Proposal], rule: TieBreakRule,
                    num_d2d: int) -> list:
-    """Every pair's choice in one pass; index n holds the chosen CU or None."""
+    """Every pair's choice; index n holds the chosen CU or None.
+
+    A pair picks the proposer whose offered allocation plus bias is highest,
+    the lower CU index winning an exact tie of those bids.
+    """
     winners = [None] * num_d2d
     bids = [None] * num_d2d
     bias = rule.bias
-    for m, prop in enumerate(proposals):
-        n = prop.target
+    for m, (n, alpha) in enumerate(proposals):
         if n is not None:
-            bid = prop.alpha + bias[m]
+            bid = alpha + bias[m]
             if winners[n] is None or bid > bids[n]:
                 winners[n], bids[n] = m, bid
     return winners
 
 
-def _profile_winners(profile, prefs: PreferenceProfile, rule: TieBreakRule) -> list:
-    winners = [None] * prefs.num_d2d
-    bids = [None] * prefs.num_d2d
-    for m, n in enumerate(profile):
-        if n is not None:
-            bid = prefs.d2d_scores[m, n] + rule.bias[m]
-            if winners[n] is None or bid > bids[n]:
-                winners[n], bids[n] = m, bid
-    return winners
+def lost_pairs(m: int, targets, alphas, bids, bias) -> list:
+    """The pairs that would pick another CU over CU ``m`` if ``m`` moved there.
+
+    ``targets[m2]`` is CU m2's target (None to opt out) and ``alphas[m2][n]``
+    the allocation it offers pair n; CU ``m``'s own entries are ignored, and
+    ``bids[n]`` is its bid (allocation plus bias) at pair n. The choice rule
+    is ``choice_winners``'.
+    """
+    lost = []
+    for m2, n2 in enumerate(targets):
+        if n2 is not None and m2 != m:
+            bid = alphas[m2][n2] + bias[m2]
+            if bid > bids[n2] or (bid == bids[n2] and m2 < m):
+                lost.append(n2)
+    return lost
 
 
-def _utilities(profile, winners, prefs: PreferenceProfile, theta: float) -> list:
+def _profile_winners(profile, alphas, rule: TieBreakRule, num_d2d: int) -> list:
+    """Every pair's choice when each CU offers its target the allocation ``alphas[m][n]``."""
+    proposals = [PASS if n is None else (n, alphas[m][n]) for m, n in enumerate(profile)]
+    return choice_winners(proposals, rule, num_d2d)
+
+
+def _utilities(profile, winners, cu_scores, theta: float) -> list:
     utils = []
     for m, n in enumerate(profile):
         if n is None:
             utils.append(0.0)
         elif winners[n] == m:
-            utils.append(prefs.cu_scores[m, n] - theta)
+            utils.append(cu_scores[m][n] - theta)
         else:
             utils.append(-theta)
     return utils
@@ -147,7 +151,7 @@ def game_utility(m: int, profile, prefs: PreferenceProfile, sys: SystemParams,
     n = profile[m]
     if n is None:
         return 0.0
-    winners = _profile_winners(profile, prefs, rule)
+    winners = _profile_winners(profile, prefs.d2d_scores, rule, prefs.num_d2d)
     if winners[n] == m:
         return float(prefs.cu_scores[m, n]) - sys.theta
     return -sys.theta
@@ -156,7 +160,7 @@ def game_utility(m: int, profile, prefs: PreferenceProfile, sys: SystemParams,
 def induced_matching(profile, prefs: PreferenceProfile, sys: SystemParams,
                      rule: TieBreakRule) -> Matching:
     """The matching realized when every pair picks among the profile's proposals."""
-    winners = _profile_winners(profile, prefs, rule)
+    winners = _profile_winners(profile, prefs.d2d_scores, rule, prefs.num_d2d)
     cu_partner = [None] * prefs.num_cus
     for n, m in enumerate(winners):
         if m is not None:
@@ -164,33 +168,22 @@ def induced_matching(profile, prefs: PreferenceProfile, sys: SystemParams,
     return Matching.from_cu_partners(cu_partner, prefs.num_d2d)
 
 
-def _wins_deviation(m: int, target: int, profile, prefs, rule) -> bool:
-    """Would pair ``target`` pick CU ``m`` if it deviated there unilaterally?"""
-    bid = prefs.d2d_scores[m, target] + rule.bias[m]
-    for m2, n2 in enumerate(profile):
-        if m2 != m and n2 == target:
-            other = prefs.d2d_scores[m2, target] + rule.bias[m2]
-            if other > bid or (other == bid and m2 < m):
-                return False
-    return True
+def _improving_moves(profile, utils, alphas, cu_scores, theta: float, rule: TieBreakRule):
+    """Yield every (cu, action) unilateral move that strictly raises that CU's payoff.
 
-
-def _improving_deviations(profile, utils, prefs, sys, rule):
-    """All (cu, action) unilateral moves that strictly raise that CU's payoff."""
-    moves = []
+    Moves come in CU order; for each CU, opting out first, then the pairs in
+    index order. The profile is a pure Nash equilibrium when none is yielded.
+    """
+    bias = rule.bias
     for m, current in enumerate(profile):
         if current is not None and 0.0 > utils[m]:
-            moves.append((m, None))
-        for n in range(prefs.num_d2d):
-            if n == current:
-                continue
-            if _wins_deviation(m, n, profile, prefs, rule):
-                payoff = float(prefs.cu_scores[m, n]) - sys.theta
-            else:
-                payoff = -sys.theta
-            if payoff > utils[m]:
-                moves.append((m, n))
-    return moves
+            yield m, None
+        lost = lost_pairs(m, profile, alphas, [a + bias[m] for a in alphas[m]], bias)
+        for n, score in enumerate(cu_scores[m]):
+            if n != current:
+                payoff = -theta if n in lost else score - theta
+                if payoff > utils[m]:
+                    yield m, n
 
 
 def check_negotiation_cost(prefs: PreferenceProfile, sys: SystemParams) -> None:
@@ -218,29 +211,15 @@ def enumerate_pne(prefs: PreferenceProfile, sys: SystemParams,
     if rule is None:
         rule = TieBreakRule.for_instance(prefs)
     check_negotiation_cost(prefs, sys)
+    alphas, cu_scores, theta = prefs.d2d_scores.tolist(), prefs.cu_scores.tolist(), sys.theta
     actions = (None, *range(prefs.num_d2d))
     equilibria = []
     for profile in product(actions, repeat=prefs.num_cus):
-        winners = _profile_winners(profile, prefs, rule)
-        utils = _utilities(profile, winners, prefs, sys.theta)
-        if _is_pne(profile, utils, prefs, sys, rule):
+        winners = _profile_winners(profile, alphas, rule, prefs.num_d2d)
+        utils = _utilities(profile, winners, cu_scores, theta)
+        if next(_improving_moves(profile, utils, alphas, cu_scores, theta, rule), None) is None:
             equilibria.append(profile)
     return equilibria
-
-
-def _is_pne(profile, utils, prefs, sys, rule) -> bool:
-    theta = sys.theta
-    for m, current in enumerate(profile):
-        best = utils[m]
-        if current is not None and 0.0 > best:
-            return False  # opting out would improve
-        for n in range(prefs.num_d2d):
-            if n == current:
-                continue
-            gain = prefs.cu_scores[m, n] - theta
-            if gain > best and _wins_deviation(m, n, profile, prefs, rule):
-                return False
-    return True
 
 
 def better_reply_path(start, prefs: PreferenceProfile, sys: SystemParams,
@@ -257,26 +236,27 @@ def better_reply_path(start, prefs: PreferenceProfile, sys: SystemParams,
     M*(N+1)*count_matchings guards against nontermination.
     """
     if rule is None:
-        rule = TieBreakRule.for_instance(prefs, seed=seed)
+        rule = TieBreakRule.for_instance(prefs)
     check_negotiation_cost(prefs, sys)
     rng = _random.Random(seed)
     profile = tuple(start)
     for action in profile:
         if action is not None and not 0 <= action < prefs.num_d2d:
             raise ValueError(f"action {action!r} is not a pair id or None")
+    alphas, cu_scores, theta = prefs.d2d_scores.tolist(), prefs.cu_scores.tolist(), sys.theta
     path = [profile]
     cap = prefs.num_cus * (prefs.num_d2d + 1) * count_matchings(prefs.num_cus, prefs.num_d2d)
     seen = {profile}
     randomized = False
     for _ in range(cap):
-        winners = _profile_winners(profile, prefs, rule)
-        utils = _utilities(profile, winners, prefs, sys.theta)
+        winners = _profile_winners(profile, alphas, rule, prefs.num_d2d)
+        utils = _utilities(profile, winners, cu_scores, theta)
         opt_outs = [(m, None) for m in range(prefs.num_cus)
                     if profile[m] is not None and utils[m] < 0.0]
         if opt_outs:
             move = opt_outs[0]
         else:
-            moves = _improving_deviations(profile, utils, prefs, sys, rule)
+            moves = list(_improving_moves(profile, utils, alphas, cu_scores, theta, rule))
             if not moves:
                 return path  # no better reply anywhere: a pure Nash equilibrium
             move = rng.choice(moves) if randomized else moves[0]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import Topology, generate_topology, snr_scales, true_rates
 from .errors import ConfigurationError
-from .game import TieBreakRule, choice_winners
+from .game import TieBreakRule, check_negotiation_cost, choice_winners
 from .learners import (
     EbriQAgent,
     EpsilonGreedyAgent,
@@ -104,14 +104,19 @@ class PeriodMetrics(NamedTuple):
 
 
 class SimEnvironment:
-    """One topology with everything the harness (not the agents) knows."""
+    """One topology with everything the harness (not the agents) knows.
 
-    def __init__(self, topology: Topology, sys: SystemParams, tie_break_seed: int = 0):
+    Raises ``ConfigurationError`` when the instance breaks the
+    negotiation-cost precondition (``game.check_negotiation_cost``).
+    """
+
+    def __init__(self, topology: Topology, sys: SystemParams):
         self.topology = topology
         self.sys = sys
         self.rates = true_rates(topology, sys)
         self.prefs = build_preferences(self.rates, sys)
-        self.rule = TieBreakRule.for_instance(self.prefs, seed=tie_break_seed)
+        check_negotiation_cost(self.prefs, sys)
+        self.rule = TieBreakRule.for_instance(self.prefs)
         c_cu, c_dt, c_dd = snr_scales(topology, sys)
         self.c_cu = [float(c) for c in c_cu]
         self.c_dt = [float(c) for c in c_dt]

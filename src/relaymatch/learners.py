@@ -25,7 +25,7 @@ from collections import deque
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
-from .game import PASS, Proposal
+from .game import PASS, Proposal, lost_pairs
 from .params import LearningParams, SystemParams
 
 __all__ = [
@@ -214,9 +214,8 @@ class EbriQAgent(_RateEstimator):
         Against one joint selection (a length-M target tuple; this CU's own
         entry is ignored), targeting pair ``n`` earns the estimated
         cooperation gain minus the negotiation cost when ``n`` would pick
-        this CU, and minus the cost alone when it would pick another. A pair
-        picks the highest announced allocation plus bias, the lower CU index
-        winning an exact tie.
+        this CU, and minus the cost alone when it would pick another, by
+        ``game.lost_pairs`` over the announced allocations.
         """
         me = self.index
         theta = self.sys.theta
@@ -235,14 +234,10 @@ class EbriQAgent(_RateEstimator):
         for entry in joint_selections:
             if entry != previous:  # once play settles, consecutive entries repeat
                 previous = entry
-                gains = win_value
-                for m2, n2 in enumerate(entry):
-                    if n2 is not None and m2 != me:
-                        bid = announced[m2][n2] + bias[m2]
-                        if bid > my_bids[n2] or (bid == my_bids[n2] and m2 < me):
-                            if gains is win_value:
-                                gains = win_value.copy()
-                            gains[n2] = -theta
+                lost = lost_pairs(me, entry, announced, my_bids, bias)
+                gains = win_value.copy() if lost else win_value
+                for n in lost:
+                    gains[n] = -theta
             scores = list(map(add, scores, gains))
         return scores
 

@@ -76,6 +76,23 @@ def test_non_finite_parameter_is_config_error(tmp_path, section, key):
     assert f"configuration error: {key} (=inf) must be finite" in proc.stderr
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n_0", "1e300", "direct_rates must be finite and at least 2.23e-308"),
+    ("theta", "0.4", "theta (=0.4) must be < the smallest positive CU score"),
+])
+def test_instance_breaking_a_precondition_is_config_error(tmp_path, key, value, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[system]\n{key} = {value}\n[learning]\nhorizon = 5\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaymatch.cli", "simulate",
+         "--config", str(path), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    [line] = proc.stderr.splitlines()  # no traceback, no warning
+    assert line.startswith("configuration error: ") and message in line
+
+
 def test_missing_config_is_io_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "o")]) == 4

@@ -1,12 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import relaymatch as rm
 from relaymatch.errors import CapacityError, ConfigurationError
-from relaymatch.game import PASS, check_negotiation_cost, choice_winners
-from relaymatch.matching import enumerate_stable_matchings
+from relaymatch.config_io import load_config
+from relaymatch.game import PASS, check_negotiation_cost, choice_winners, lost_pairs
+from relaymatch.harness import _topology_rng
+from relaymatch.matching import enumerate_stable_matchings, gale_shapley
 from relaymatch.verification import random_preferences, random_rate_table
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 THETA = rm.SystemParams().theta
 
 
@@ -23,7 +28,7 @@ class TestTieBreakRule:
             prefs = rm.build_preferences(
                 random_rate_table(int(rng.integers(1, 6)), int(rng.integers(1, 6)), rng), sysp
             )
-            rule = rm.TieBreakRule.for_instance(prefs, seed=int(rng.integers(1000)))
+            rule = rm.TieBreakRule.for_instance(prefs)
             assert rule.preserves_order(prefs)
             assert len(set(rule.bias)) == prefs.num_cus  # all distinct
 
@@ -40,16 +45,16 @@ class TestChoice:
     def test_strict_max_wins(self):
         rule = rm.TieBreakRule(bias=(0.0, 0.0))
         proposals = [rm.Proposal(0, 0.3), rm.Proposal(0, 0.4)]
-        assert rm.d2d_choice(0, proposals, rule) == 1
+        assert choice_winners(proposals, rule, 1) == [1]
 
     def test_no_proposers(self):
         rule = rm.TieBreakRule(bias=(0.0, 0.0))
-        assert rm.d2d_choice(1, [rm.Proposal(0, 0.3), PASS], rule) is None
+        assert choice_winners([rm.Proposal(0, 0.3), PASS], rule, 2)[1] is None
 
     def test_exact_tie_resolved_by_bias(self):
         rule = rm.TieBreakRule(bias=(0.001, 0.0))
         proposals = [rm.Proposal(0, 0.3), rm.Proposal(0, 0.3)]
-        assert rm.d2d_choice(0, proposals, rule) == 0
+        assert choice_winners(proposals, rule, 1) == [0]
 
     def test_argmax_invariant_to_common_shift(self):
         rng = np.random.default_rng(103)
@@ -59,19 +64,37 @@ class TestChoice:
             targets = rng.integers(0, 2, 3)
             base = [rm.Proposal(int(t), float(a)) for t, a in zip(targets, alphas)]
             shifted = [rm.Proposal(int(t), float(a) + 0.05) for t, a in zip(targets, alphas)]
-            for n in range(2):
-                assert rm.d2d_choice(n, base, rule) == rm.d2d_choice(n, shifted, rule)
+            assert choice_winners(base, rule, 2) == choice_winners(shifted, rule, 2)
 
-    def test_batch_winners_agree_with_single_choice(self):
-        rng = np.random.default_rng(107)
-        rule = rm.TieBreakRule(bias=(4e-4, 1e-4, 3e-4, 2e-4))
-        for _ in range(100):
-            proposals = [
-                PASS if rng.random() < 0.3 else rm.Proposal(int(rng.integers(3)), float(rng.uniform(0.1, 0.5)))
-                for _ in range(4)
-            ]
-            winners = choice_winners(proposals, rule, 3)
-            assert winners == [rm.d2d_choice(n, proposals, rule) for n in range(3)]
+
+class TestTieOrder:
+    """Every exact allocation tie goes to the lower CU index."""
+
+    prefs = rm.PreferenceProfile(cu_scores=np.full((3, 2), 0.5), d2d_scores=np.full((3, 2), 0.2))
+
+    def test_biases_decrease_with_cu_index(self):
+        bias = rm.TieBreakRule.for_instance(self.prefs).bias
+        assert all(a > b for a, b in zip(bias, bias[1:]))
+
+    def test_choice_and_deviation_scan_and_deferred_acceptance_agree(self):
+        rule = rm.TieBreakRule.for_instance(self.prefs)
+        alphas = self.prefs.d2d_scores.tolist()
+        assert choice_winners([rm.Proposal(0, 0.2)] * 3, rule, 2) == [0, None]
+        targets = (0, 1, 0)
+        for m, expected in ((0, []), (1, [0]), (2, [0, 1])):
+            bids = [a + rule.bias[m] for a in alphas[m]]
+            assert lost_pairs(m, targets, alphas, bids, rule.bias) == expected
+        assert gale_shapley(self.prefs).cu_partner == (0, 1, None)
+
+    def test_equilibria_induce_the_stable_set_when_allocations_tie(self, sysp):
+        prefs = rm.PreferenceProfile(
+            cu_scores=np.array([[0.5, 0.4], [0.3, 0.6], [0.7, 0.2]]),
+            d2d_scores=np.full((3, 2), 0.2),
+        )
+        rule = rm.TieBreakRule.for_instance(prefs)
+        induced = {rm.induced_matching(b, prefs, sysp, rule)
+                   for b in rm.enumerate_pne(prefs, sysp, rule)}
+        assert induced == set(enumerate_stable_matchings(prefs))
 
 
 class TestGameUtility:
@@ -141,6 +164,16 @@ class TestEnumeratePne:
             assert induced == stable
             for mu in induced:
                 assert rm.is_stable(mu, prefs)
+
+    def test_equilibria_induce_the_stable_set_on_the_comparison_topologies(self):
+        config = load_config(CONFIGS / "comparison.ini")
+        sysp = config.system
+        for rep in range(config.num_replications):
+            topology = rm.generate_topology(config.topology, _topology_rng(config.seed, rep))
+            env = rm.SimEnvironment(topology, sysp)
+            induced = {rm.induced_matching(b, env.prefs, sysp, env.rule)
+                       for b in rm.enumerate_pne(env.prefs, sysp, env.rule)}
+            assert induced == set(enumerate_stable_matchings(env.prefs)), f"topology {rep}"
 
     def test_stable_matching_profile_is_equilibrium(self, sysp):
         rng = np.random.default_rng(113)

@@ -25,45 +25,45 @@ REPLICATIONS = 2
 
 GOLDEN = {
     ("small_network.ini", "ebriq", "sampled"):
-        "d182656d627f9eacff5fc1403e713624b237f1ae8c76ac6f6c02492d16e70d7b",
+        "4532f120fca52385c04be7bd4d1b1de1db70467723a389af588d75e2f59302fb",
     ("small_network.ini", "ebriq", "expected"):
-        "32299e7ee4a234f32d150a12839302516b2139a04bb3e7a7784e2cd5db87cd0e",
+        "1cc7be44254a4191d1ecb3c7915c54e946837022f7f945889e4df0853badfba5",
     ("small_network.ini", "epsilon_greedy", "sampled"):
-        "033ea1b2d08d5be93a4cbc17abf9631cace54a968a9fadd93a0b701d90928c09",
+        "ce67700ca91ab3ebbeee1e4716462e6e2d8d375f6babf973f125bc4ba50732bb",
     ("small_network.ini", "epsilon_greedy", "expected"):
-        "d2464ab984f7f01b41d900f7251fce725b9c7fe9755f6be86431fbcd744e0676",
+        "0869869768e2c2e720b955931ef99d7f04ed8e38e9aef70abb191c76f12c18ab",
     ("small_network.ini", "random", "sampled"):
-        "30ce74dad2605efc8f69f750ff594be38e95959a02b325f7d5f249d47bbc6dac",
+        "ae0d7897883db09307b5f48f24c450f98e76bf4d2abeaf3c8d0f21c162d6d126",
     ("small_network.ini", "random", "expected"):
-        "5472af8b0e672f1db09fbb127cad10cb407fd47ba50e4fbbd612902051caf32e",
+        "e3e3f6d1a21f2000ad0ad73e8f4e770db7fd4f0ce7d690dbb19ec22eb192d7cf",
     ("small_network.ini", "noncoop", "sampled"):
         "91159e07c2f32857032c9396506d615da04f4fcccfa2347c23ad615a696ced4b",
     ("small_network.ini", "noncoop", "expected"):
-        "e8b0d5bec1225237c20af411b972182426b713d4edc5c2b2a33a842b56cff5f5",
+        "f97b5fe61a70a21190b69d0d9136974d6567c515dbac372585fea460c618a945",
     ("small_network.ini", "gs_oracle", "sampled"):
-        "a695dd04939e9d9dfdf928a1a26b40634b9e97e50485f6e2e68db52202e94a82",
+        "13a459ca64eaca37c33c7779fa4cf4fc1661506620237ca56a13d9feab2c3897",
     ("small_network.ini", "gs_oracle", "expected"):
-        "6eb06b34326547e424d36ce53c1121a9ba82a5008d09f0f13cdfd1f26682fc97",
+        "73e987f00bc3a933290c634376132f1627bfed776a5386cd7c5a46f579870eaa",
     ("comparison.ini", "ebriq", "sampled"):
-        "1ecb7d705e55135731dbdcd0d7e6c05e05f34c07a23832326ae24686d9d3dc7d",
+        "8476d6cc56ae5966f1a70f0430d0e751efc577cad4fbbeadb1142f44bc68309c",
     ("comparison.ini", "ebriq", "expected"):
-        "9717f83b393557746fb4f974bd004d71d75f569634b59056928aa19e72e5405d",
+        "0bde93ae74e7262ceaf372319e515346058edb06788fce6e84d97665eb82cbf9",
     ("comparison.ini", "epsilon_greedy", "sampled"):
-        "5a2209d90a051b4124a51c550c44fc235e64f42245f2f119b404c3d35db0edaa",
+        "96b7865dd882f300af31df9189935936ca45b5f26c9cc3a7040649dd4585316b",
     ("comparison.ini", "epsilon_greedy", "expected"):
-        "94409816b38b0de6f68d0179defeec93e161ece39df302baed7297bb0905b49d",
+        "18cd50fe0615de327fffd731d5be28be47e88a490ccd3b46b26b246612c6992e",
     ("comparison.ini", "random", "sampled"):
-        "bfe96c5f3d16e0ce5610f1e1ac18bae68deb331c8ca478eb4e62d48789bd6c85",
+        "35f12f669e96be8f1bbad66dad813d888a7d52d8eb07cbb9549e5085e9f51973",
     ("comparison.ini", "random", "expected"):
-        "9cca3ef5d7f16cb0e86ef6e47ebf676c4fbe622d0161e5ff6b0bbc4e4263fbb5",
+        "6bc0f80cd1fc5f4ed6145de4619c4b602cd4a4c90720542b9cab3127a09b17e4",
     ("comparison.ini", "noncoop", "sampled"):
         "f5afac41b83a371fb1f9706b5ba5728d6a5937d2decc4367643f303bca201fc1",
     ("comparison.ini", "noncoop", "expected"):
-        "21aa97bfb48dcfdb28fa7aec2d04840668038bcce370039b2037ccf990fc7b00",
+        "01e7ed284c41c576ed5929e0c1f4c125cf24ac4b8801ad5d1f25a12c827251bb",
     ("comparison.ini", "gs_oracle", "sampled"):
-        "4fadd91e964f0e0518422c4f0d576c0b5c8c894165e3dd7699518a18ec3cad0b",
+        "45c5c3db7f90537f61f8ecc1b6a09306dfc9073bf816f81c84b6e4dd25660787",
     ("comparison.ini", "gs_oracle", "expected"):
-        "1bf548fa0ed804c28af2256ab1f8e28f29c857c7508f9cdbbf54f2dd76f54bd7",
+        "75ea7f87ab468289e8ca1ade43ecf93cac624931162fabddaa6cef0b4d05ab25",
 }
 
 

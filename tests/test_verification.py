@@ -7,6 +7,7 @@ from relaymatch.verification import (
     random_rate_table,
     verify_nbs,
     verify_stability,
+    verify_theorem1,
 )
 
 
@@ -24,6 +25,12 @@ def test_nbs_suite_reports_pass():
 
 def test_stability_suite_small_run():
     assert verify_stability(num_instances=50).passed
+
+
+def test_theorem1_suite_passes_on_instances_with_exact_ties():
+    # Seed 12003 draws instances whose allocations tie exactly (both clamped
+    # at alpha_low), where the game and the matching must break ties alike.
+    assert verify_theorem1(num_instances=3000, seed=12003).passed
 
 
 def test_random_rate_table_respects_structure():
