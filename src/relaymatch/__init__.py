@@ -16,11 +16,9 @@ from .channel import (
     Topology,
     expected_log_rate,
     generate_topology,
-    mean_gain,
-    sample_direct_rate,
-    sample_relay_rate,
     true_rates,
 )
+from .config_io import write_manifest
 from .errors import CapacityError, ConfigurationError
 from .game import (
     Proposal,
@@ -31,8 +29,6 @@ from .game import (
     induced_matching,
 )
 from .harness import (
-    POLICIES,
-    ExperimentConfig,
     PeriodMetrics,
     ResultSet,
     SimEnvironment,
@@ -41,7 +37,6 @@ from .harness import (
     run_experiment,
     run_period,
     run_replication,
-    write_manifest,
 )
 from .learners import (
     EbriQAgent,
@@ -61,4 +56,4 @@ from .matching import (
     gale_shapley,
     is_stable,
 )
-from .params import LearningParams, SystemParams, TopologyParams
+from .params import POLICIES, ExperimentConfig, LearningParams, SystemParams, TopologyParams

@@ -1,4 +1,4 @@
-"""Random cell topologies, mean channel gains, and expected/realized link rates.
+"""Random cell topologies, mean channel gains, and expected link rates.
 
 Channel model: gain = eta * D^(-K) with unit-mean exponential fast fading eta
 and distance D. Rates are Shannon-style ln(1 + SNR) in nats per channel use.
@@ -6,11 +6,14 @@ A relayed frame spends two half-phases on the CU's traffic (uplink broadcast,
 then decode-and-forward by the D2D transmitter) and the final alpha fraction
 on the D2D pair's own link, so the relay rate is the two-leg average and the
 full-frame CU rate carries a (1 - alpha) prefactor.
+
+A link's mean SNR c (``snr_scales``) fixes its expected rate E[ln(1 + c eta)],
+given here in closed form; the harness's period loop draws the fading eta of
+the realized rates ln(1 + c eta) itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +25,9 @@ from .params import SystemParams, TopologyParams
 __all__ = [
     "Topology",
     "RateTable",
-    "mean_gain",
     "expected_log_rate",
     "generate_topology",
     "true_rates",
-    "sample_relay_rate",
-    "sample_direct_rate",
-    "relay_rate_from_fading",
-    "direct_rate_from_fading",
 ]
 
 
@@ -76,13 +74,6 @@ class RateTable:
         # nonnegative forward leg, so it is at least half the direct rate.
         if (self.relay_rates < self.direct_rates[:, None] / 2 - 1e-12).any():
             raise ConfigurationError("relay_rates must be >= direct_rates / 2")
-
-
-def mean_gain(distance: float, path_loss_exponent: float) -> float:
-    """Mean channel gain D^(-K) of a link of length ``distance``."""
-    if distance <= 0:
-        raise ValueError(f"distance must be > 0, got {distance}")
-    return distance ** (-path_loss_exponent)
 
 
 def expected_log_rate(snr_scale):
@@ -156,42 +147,17 @@ def true_rates(topology: Topology, sys: SystemParams) -> RateTable:
 
     The relayed rate for CU m via pair n is the average of the direct-leg and
     forward-leg expected log rates; the D2D rate depends only on n because
-    fading is i.i.d. across the cellular channels.
+    fading is i.i.d. across the cellular channels. A mean SNR that underflows
+    to 0 (a tiny power, say, or a huge path-loss exponent) is a
+    ``ConfigurationError`` naming the link class.
     """
-    direct, forward, d2d = (expected_log_rate(c) for c in snr_scales(topology, sys))
+    rates = []
+    for link, c in zip(("CU->BS", "DT->BS", "DT->DR"), snr_scales(topology, sys)):
+        try:
+            rates.append(expected_log_rate(c))
+        except ValueError:
+            raise ConfigurationError(f"mean SNR of every {link} link must be > 0, "
+                                     f"got {c.min():.3g} (power * gain / n_0)") from None
+    direct, forward, d2d = rates
     relay = 0.5 * (direct[:, None] + forward[None, :])
     return RateTable(direct_rates=direct, relay_rates=relay, d2d_rates=d2d)
-
-
-def relay_rate_from_fading(c_direct: float, c_forward: float, eta1: float, eta2: float) -> float:
-    """Realized two-phase relay rate for one frame given the fading draws."""
-    return 0.5 * (math.log1p(c_direct * eta1) + math.log1p(c_forward * eta2))
-
-
-def direct_rate_from_fading(c_direct: float, eta: float) -> float:
-    """Realized direct-link rate for one frame given the fading draw."""
-    return math.log1p(c_direct * eta)
-
-
-def sample_relay_rate(m: int, n: int, topology: Topology, sys: SystemParams,
-                      rng: np.random.Generator, size: int | None = None):
-    """Per-frame relay-rate sample(s) r for CU ``m`` via D2D pair ``n``.
-
-    Each phase sees an independent unit-mean exponential fading draw; the
-    sample mean converges to ``true_rates(...).relay_rates[m, n]``.
-    """
-    c1 = sys.p_c * topology.gain_cu_bs[m] / sys.n_0
-    c2 = sys.p_d * topology.gain_dt_bs[n] / sys.n_0
-    if size is None:
-        return relay_rate_from_fading(c1, c2, rng.exponential(), rng.exponential())
-    eta = rng.exponential(size=(2, size))
-    return 0.5 * (np.log1p(c1 * eta[0]) + np.log1p(c2 * eta[1]))
-
-
-def sample_direct_rate(m: int, topology: Topology, sys: SystemParams,
-                       rng: np.random.Generator, size: int | None = None):
-    """Per-frame direct-link rate sample(s) for CU ``m``."""
-    c = sys.p_c * topology.gain_cu_bs[m] / sys.n_0
-    if size is None:
-        return direct_rate_from_fading(c, rng.exponential())
-    return np.log1p(c * rng.exponential(size=size))

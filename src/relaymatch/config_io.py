@@ -1,7 +1,13 @@
-"""Experiment config files: INI-style sections mirroring the parameter blocks.
+"""Experiment config files: INI sections mirroring the parameter blocks.
 
-Every key is optional (defaults are the reference-scenario values); unknown
-sections or keys are hard errors so typos cannot silently change a run.
+Sections and keys come from the dataclasses in ``params``: ``[topology]``,
+``[system]`` and ``[learning]`` hold the fields of the blocks nested in
+``ExperimentConfig``, ``[experiment]`` its own fields, and a range field
+``<stem>_range`` is the two keys ``<stem>_low`` and ``<stem>_high``. Every
+key is optional (defaults are the reference-scenario values); unknown
+sections or keys are hard errors so typos cannot silently change a run. A
+run's manifest (``write_manifest``) is such a file and loads back to the
+same config.
 
 Example::
 
@@ -27,85 +33,67 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigurationError
-from .harness import ExperimentConfig
-from .params import LearningParams, SystemParams, TopologyParams
+from .params import ExperimentConfig
 
-__all__ = ["load_config", "apply_overrides"]
+__all__ = ["load_config", "apply_overrides", "write_manifest"]
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
-# section -> key -> (target field, converter)
-_SCHEMA = {
-    "topology": {
-        "num_cus": ("num_cus", int),
-        "num_d2d": ("num_d2d", int),
-        "cell_radius": ("cell_radius", float),
-        "cu_min_bs_distance": ("cu_min_bs_distance", float),
-        "dt_bs_distance_low": ("dt_bs_distance_range.0", float),
-        "dt_bs_distance_high": ("dt_bs_distance_range.1", float),
-        "d2d_link_low": ("d2d_link_range.0", float),
-        "d2d_link_high": ("d2d_link_range.1", float),
-        "path_loss_exponent": ("path_loss_exponent", float),
-    },
-    "system": {
-        "p_c": ("p_c", float),
-        "p_d": ("p_d", float),
-        "n_0": ("n_0", float),
-        "alpha_low": ("alpha_low", float),
-        "alpha_high": ("alpha_high", float),
-        "theta": ("theta", float),
-        "theta_prime": ("theta_prime", float),
-    },
-    "learning": {
-        "epsilon0": ("epsilon0", float),
-        "zeta": ("zeta", float),
-        "xi": ("xi", float),
-        "memory_length": ("memory_length", int),
-        "horizon": ("horizon", int),
-    },
-    "experiment": {
-        "policy": ("policy", str),
-        "num_replications": ("num_replications", int),
-        "seed": ("seed", int),
-        "fixed_topology": ("fixed_topology", "bool"),
-        "throughput_mode": ("throughput_mode", str),
-    },
-}
+
+def _keys(block) -> dict:
+    """Config key -> (field, index within a range field or None, value type)."""
+    keys = {}
+    for f in dataclasses.fields(block):
+        default = f.default
+        if dataclasses.is_dataclass(default):
+            continue  # a nested block is a section of its own
+        if isinstance(default, tuple):
+            stem = f.name.removesuffix("_range")
+            keys[f"{stem}_low"] = (f.name, 0, type(default[0]))
+            keys[f"{stem}_high"] = (f.name, 1, type(default[1]))
+        else:
+            keys[f.name] = (f.name, None, type(default))
+    return keys
 
 
-def _convert(raw: str, converter, context: str):
-    if converter == "bool":
+# The nested blocks of ExperimentConfig are sections named after their
+# fields; the run's own fields form [experiment].
+_NESTED = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)
+           if dataclasses.is_dataclass(f.default)}
+_KEYS = {**{section: _keys(block) for section, block in _NESTED.items()},
+         "experiment": _keys(ExperimentConfig)}
+
+
+def _convert(raw: str, convert: type, context: str):
+    if convert is bool:
         try:
             return _BOOL[raw.strip().lower()]
         except KeyError:
             raise ConfigurationError(f"{context}: expected a boolean, got {raw!r}") from None
     try:
-        return converter(raw)
+        return convert(raw)
     except ValueError:
         raise ConfigurationError(
-            f"{context}: expected {converter.__name__}, got {raw!r}"
+            f"{context}: expected {convert.__name__}, got {raw!r}"
         ) from None
 
 
-def _section_values(parser, section: str) -> dict:
+def _section_values(parser, section: str, block) -> dict:
+    """Arguments for the section's ``block``; absent keys keep the field defaults."""
     values = {}
     if not parser.has_section(section):
         return values
-    schema = _SCHEMA[section]
+    keys = _KEYS[section]
     for key, raw in parser.items(section):
-        if key not in schema:
+        if key not in keys:
             raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
-        field, converter = schema[key]
-        values[field] = _convert(raw, converter, f"[{section}] {key}")
-    return values
-
-
-def _pair_fields(values: dict, base: str, default: tuple) -> dict:
-    """Collapse 'name.0'/'name.1' entries into one tuple field."""
-    low = values.pop(f"{base}.0", default[0])
-    high = values.pop(f"{base}.1", default[1])
-    if (low, high) != default:
-        values[base] = (low, high)
+        name, index, convert = keys[key]
+        value = _convert(raw, convert, f"[{section}] {key}")
+        if index is not None:
+            pair = list(values.get(name, getattr(block, name)))
+            pair[index] = value
+            value = tuple(pair)
+        values[name] = value
     return values
 
 
@@ -122,20 +110,29 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigurationError(f"malformed config {path}: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigurationError(f"unknown section [{section}] in {path}")
 
-    topo_values = _section_values(parser, "topology")
-    defaults = TopologyParams()
-    _pair_fields(topo_values, "dt_bs_distance_range", defaults.dt_bs_distance_range)
-    _pair_fields(topo_values, "d2d_link_range", defaults.d2d_link_range)
-    topology = TopologyParams(**topo_values)
-    system = SystemParams(**_section_values(parser, "system"))
-    learning = LearningParams(**_section_values(parser, "learning"))
-    return ExperimentConfig(
-        topology=topology, system=system, learning=learning,
-        **_section_values(parser, "experiment"),
-    )
+    blocks = {section: block(**_section_values(parser, section, block))
+              for section, block in _NESTED.items()}
+    return ExperimentConfig(**blocks, **_section_values(parser, "experiment", ExperimentConfig))
+
+
+def write_manifest(config: ExperimentConfig, path) -> None:
+    """Write the fully resolved config as a config file that ``load_config`` reads back."""
+    path = Path(path)
+    lines = ["# Resolved configuration of this run; it loads back with --config."]
+    for section, keys in _KEYS.items():
+        block = config if section == "experiment" else getattr(config, section)
+        lines += ["", f"[{section}]"]
+        for key, (name, index, _) in keys.items():
+            value = getattr(block, name) if index is None else getattr(block, name)[index]
+            # str() of a float is its shortest repr, which reads back exactly.
+            lines.append(f"{key} = {str(value).lower() if isinstance(value, bool) else value}")
+    try:
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write manifest to {path}: {exc}") from exc
 
 
 def apply_overrides(config: ExperimentConfig, policy: Optional[str] = None,

@@ -6,9 +6,11 @@ time, the lower CU index winning an exact tie, which is how a pair ranks CUs
 in the matching (``PreferenceProfile.d2d_prefers``). A small per-CU bias,
 decreasing with the CU index, carries that tie order in the bids. A CU pays
 a small negotiation cost for any proposal, so at equilibrium only worthwhile
-cooperations survive. Pure Nash equilibria of this game induce exactly the
-stable matchings, and from any profile some sequence of single-CU strict
-improvements reaches one; ``better_reply_path`` constructs such a sequence.
+cooperations survive. On the CU side an exact payoff tie between two pairs
+goes to the lower pair index, as in the matching (``cu_prefers``). Pure Nash
+equilibria of this game induce exactly the stable matchings, and from any
+profile some sequence of single-CU improvements reaches one;
+``better_reply_path`` constructs such a sequence.
 
 The pair's choice rule is coded here once: ``choice_winners`` picks every
 pair's CU from the proposals, and ``lost_pairs`` finds the pairs a CU would
@@ -168,21 +170,28 @@ def induced_matching(profile, prefs: PreferenceProfile, sys: SystemParams,
     return Matching.from_cu_partners(cu_partner, prefs.num_d2d)
 
 
-def _improving_moves(profile, utils, alphas, cu_scores, theta: float, rule: TieBreakRule):
-    """Yield every (cu, action) unilateral move that strictly raises that CU's payoff.
+def _improving_moves(profile, winners, utils, alphas, cu_scores, theta: float,
+                     rule: TieBreakRule):
+    """Yield every (cu, action) unilateral move that improves that CU's lot.
 
-    Moves come in CU order; for each CU, opting out first, then the pairs in
-    index order. The profile is a pure Nash equilibrium when none is yielded.
+    A move improves when it strictly raises the CU's payoff, or when it takes
+    an accepted CU to an equally paying pair of lower index that would accept
+    it: the matching's order on the CU side (``PreferenceProfile.cu_prefers``)
+    gives a CU-score tie to the lower pair. Moves come in CU order; for each
+    CU, opting out first, then the pairs in index order. The profile is a
+    pure Nash equilibrium when none is yielded.
     """
     bias = rule.bias
     for m, current in enumerate(profile):
         if current is not None and 0.0 > utils[m]:
             yield m, None
+        accepted = current is not None and winners[current] == m
         lost = lost_pairs(m, profile, alphas, [a + bias[m] for a in alphas[m]], bias)
         for n, score in enumerate(cu_scores[m]):
             if n != current:
                 payoff = -theta if n in lost else score - theta
-                if payoff > utils[m]:
+                if payoff > utils[m] or (
+                        accepted and n < current and n not in lost and payoff == utils[m]):
                     yield m, n
 
 
@@ -217,16 +226,18 @@ def enumerate_pne(prefs: PreferenceProfile, sys: SystemParams,
     for profile in product(actions, repeat=prefs.num_cus):
         winners = _profile_winners(profile, alphas, rule, prefs.num_d2d)
         utils = _utilities(profile, winners, cu_scores, theta)
-        if next(_improving_moves(profile, utils, alphas, cu_scores, theta, rule), None) is None:
+        moves = _improving_moves(profile, winners, utils, alphas, cu_scores, theta, rule)
+        if next(moves, None) is None:
             equilibria.append(profile)
     return equilibria
 
 
 def better_reply_path(start, prefs: PreferenceProfile, sys: SystemParams,
                       rule: TieBreakRule | None = None, seed: int = 0):
-    """A strict-improvement path from ``start`` to an equilibrium profile.
+    """An improvement path from ``start`` to an equilibrium profile.
 
-    Every step changes one CU's action and strictly raises that CU's payoff.
+    Every step changes one CU's action and strictly raises that CU's payoff,
+    or moves an accepted CU to an equally paying pair of lower index.
     Construction: CUs with a negative payoff (rejected, or proposing an
     unacceptable pair) opt out first; then one mutually improving proposal is
     granted at a time, with the newly displaced CU opting out before the
@@ -256,14 +267,16 @@ def better_reply_path(start, prefs: PreferenceProfile, sys: SystemParams,
         if opt_outs:
             move = opt_outs[0]
         else:
-            moves = list(_improving_moves(profile, utils, alphas, cu_scores, theta, rule))
+            moves = list(_improving_moves(profile, winners, utils, alphas, cu_scores, theta,
+                                          rule))
             if not moves:
                 return path  # no better reply anywhere: a pure Nash equilibrium
             move = rng.choice(moves) if randomized else moves[0]
         m, action = move
         new_profile = profile[:m] + (action,) + profile[m + 1:]
         new_util = game_utility(m, new_profile, prefs, sys, rule)
-        assert new_util > utils[m], "better-reply step failed to improve"
+        tie_step = new_util == utils[m] and None not in (action, profile[m]) and action < profile[m]
+        assert new_util > utils[m] or tie_step, "better-reply step failed to improve"
         profile = new_profile
         path.append(profile)
         if profile in seen:

@@ -28,6 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .channel import Topology, generate_topology, snr_scales, true_rates
+from .config_io import write_manifest
 from .errors import ConfigurationError
 from .game import TieBreakRule, check_negotiation_cost, choice_winners
 from .learners import (
@@ -40,7 +41,7 @@ from .learners import (
     RandomAgent,
 )
 from .matching import Matching, build_preferences, gale_shapley, is_stable
-from .params import LearningParams, SystemParams, TopologyParams
+from .params import POLICIES, ExperimentConfig, LearningParams, SystemParams
 
 __all__ = [
     "POLICIES",
@@ -56,42 +57,8 @@ __all__ = [
     "write_manifest",
 ]
 
-POLICIES = ("ebriq", "epsilon_greedy", "random", "noncoop", "gs_oracle")
-THROUGHPUT_MODES = ("sampled", "expected")
-
 CSV_HEADER = "period,mean_throughput,sm_fraction,mean_alpha_ratio,policy"
 _CSV_CHUNK_ROWS = 1024
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    topology: TopologyParams = TopologyParams()
-    system: SystemParams = SystemParams()
-    learning: LearningParams = LearningParams()
-    policy: str = "ebriq"
-    num_replications: int = 1
-    seed: int = 0
-    fixed_topology: bool = True
-    throughput_mode: str = "sampled"
-
-    def __post_init__(self):
-        if self.policy not in POLICIES:
-            raise ConfigurationError(
-                f"unknown policy {self.policy!r}; expected one of {', '.join(POLICIES)}"
-            )
-        if self.throughput_mode not in THROUGHPUT_MODES:
-            raise ConfigurationError(
-                f"unknown throughput_mode {self.throughput_mode!r}; "
-                f"expected one of {', '.join(THROUGHPUT_MODES)}"
-            )
-        if self.num_replications < 1:
-            raise ConfigurationError(
-                f"num_replications (={self.num_replications}) must be >= 1"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise ConfigurationError(
-                f"seed (={self.seed}) must be an unsigned 64-bit integer"
-            )
 
 
 class PeriodMetrics(NamedTuple):
@@ -398,42 +365,3 @@ def emit_csv(results: ResultSet, path) -> None:
                 ]))
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
-
-
-def write_manifest(config: ExperimentConfig, path) -> None:
-    """Record the fully resolved experiment configuration."""
-    path = Path(path)
-    c = config
-    entries = {
-        "topology.num_cus": c.topology.num_cus,
-        "topology.num_d2d": c.topology.num_d2d,
-        "topology.cell_radius": c.topology.cell_radius,
-        "topology.cu_min_bs_distance": c.topology.cu_min_bs_distance,
-        "topology.dt_bs_distance_low": c.topology.dt_bs_distance_range[0],
-        "topology.dt_bs_distance_high": c.topology.dt_bs_distance_range[1],
-        "topology.d2d_link_low": c.topology.d2d_link_range[0],
-        "topology.d2d_link_high": c.topology.d2d_link_range[1],
-        "topology.path_loss_exponent": c.topology.path_loss_exponent,
-        "system.p_c": c.system.p_c,
-        "system.p_d": c.system.p_d,
-        "system.n_0": c.system.n_0,
-        "system.alpha_low": c.system.alpha_low,
-        "system.alpha_high": c.system.alpha_high,
-        "system.theta": c.system.theta,
-        "system.theta_prime": c.system.theta_prime,
-        "learning.epsilon0": c.learning.epsilon0,
-        "learning.zeta": c.learning.zeta,
-        "learning.xi": c.learning.xi,
-        "learning.memory_length": c.learning.memory_length,
-        "learning.horizon": c.learning.horizon,
-        "experiment.policy": c.policy,
-        "experiment.num_replications": c.num_replications,
-        "experiment.seed": c.seed,
-        "experiment.fixed_topology": str(c.fixed_topology).lower(),
-        "experiment.throughput_mode": c.throughput_mode,
-    }
-    text = "\n".join(f"{key} = {value}" for key, value in entries.items()) + "\n"
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise OSError(f"cannot write manifest to {path}: {exc}") from exc

@@ -1,8 +1,10 @@
-"""Scalar parameter blocks for the network, the bargaining rules, and the learners.
+"""Parameter blocks for the network, the bargaining rules, the learners, and a run.
 
 Defaults follow the reference scenario used throughout the tests: a single
 400 m cell, cell-edge cellular users (CUs), relay-capable D2D pairs between
-150 and 250 m from the base station, and fourth-power path loss.
+150 and 250 m from the base station, and fourth-power path loss. Each
+parameter is named once, here: ``config_io`` derives the config-file keys
+from these fields.
 """
 
 from __future__ import annotations
@@ -127,3 +129,40 @@ class LearningParams:
             value = getattr(self, name)
             if not value >= 1:
                 raise ConfigurationError(f"{name} (={value}) must be >= 1")
+
+
+POLICIES = ("ebriq", "epsilon_greedy", "random", "noncoop", "gs_oracle")
+THROUGHPUT_MODES = ("sampled", "expected")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One run: the three parameter blocks plus the policy and the Monte Carlo setup."""
+
+    topology: TopologyParams = TopologyParams()
+    system: SystemParams = SystemParams()
+    learning: LearningParams = LearningParams()
+    policy: str = "ebriq"
+    num_replications: int = 1
+    seed: int = 0
+    fixed_topology: bool = True
+    throughput_mode: str = "sampled"
+
+    def __post_init__(self):
+        if self.policy not in POLICIES:
+            raise ConfigurationError(
+                f"unknown policy {self.policy!r}; expected one of {', '.join(POLICIES)}"
+            )
+        if self.throughput_mode not in THROUGHPUT_MODES:
+            raise ConfigurationError(
+                f"unknown throughput_mode {self.throughput_mode!r}; "
+                f"expected one of {', '.join(THROUGHPUT_MODES)}"
+            )
+        if self.num_replications < 1:
+            raise ConfigurationError(
+                f"num_replications (={self.num_replications}) must be >= 1"
+            )
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError(
+                f"seed (={self.seed}) must be an unsigned 64-bit integer"
+            )

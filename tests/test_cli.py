@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from relaymatch.cli import main
+from relaymatch.config_io import apply_overrides, load_config
 
 CONFIG = """
 [topology]
@@ -52,7 +53,19 @@ def test_simulate_flag_overrides(config_path, tmp_path):
     csv = out / "noncoop.csv"
     assert csv.exists()
     assert len(csv.read_text().splitlines()) == 11
-    assert "experiment.seed = 9" in (out / "manifest.txt").read_text()
+    expected = apply_overrides(load_config(config_path), policy="noncoop", seed=9,
+                               replications=1, periods=10)
+    assert load_config(out / "manifest.txt") == expected
+
+
+def test_manifest_reruns_to_the_same_csv(config_path, tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["simulate", "--config", str(config_path), "--out", str(first),
+                 "--seed", "8", "--periods", "20"]) == 0
+    assert main(["simulate", "--config", str(first / "manifest.txt"),
+                 "--out", str(second)]) == 0
+    assert (second / "ebriq.csv").read_bytes() == (first / "ebriq.csv").read_bytes()
+    assert (second / "manifest.txt").read_bytes() == (first / "manifest.txt").read_bytes()
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -62,15 +75,25 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section, key", [("topology", "cell_radius"), ("system", "p_c")])
-def test_non_finite_parameter_is_config_error(tmp_path, section, key):
+def simulate_in_subprocess(tmp_path, config_text):
     path = tmp_path / "bad.ini"
-    path.write_text(f"[{section}]\n{key} = inf\n[learning]\nhorizon = 5\n")
-    proc = subprocess.run(
+    path.write_text(config_text + "[learning]\nhorizon = 5\n")
+    return subprocess.run(
         [sys.executable, "-m", "relaymatch.cli", "simulate",
          "--config", str(path), "--out", str(tmp_path / "o")],
         capture_output=True, text=True,
     )
+
+
+def assert_one_config_error_line(proc, message):
+    assert proc.returncode == 2, proc.stderr
+    [line] = proc.stderr.splitlines()  # no traceback, no warning
+    assert line.startswith("configuration error: ") and message in line
+
+
+@pytest.mark.parametrize("section, key", [("topology", "cell_radius"), ("system", "p_c")])
+def test_non_finite_parameter_is_config_error(tmp_path, section, key):
+    proc = simulate_in_subprocess(tmp_path, f"[{section}]\n{key} = inf\n")
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"configuration error: {key} (=inf) must be finite" in proc.stderr
@@ -81,16 +104,17 @@ def test_non_finite_parameter_is_config_error(tmp_path, section, key):
     ("theta", "0.4", "theta (=0.4) must be < the smallest positive CU score"),
 ])
 def test_instance_breaking_a_precondition_is_config_error(tmp_path, key, value, message):
-    path = tmp_path / "bad.ini"
-    path.write_text(f"[system]\n{key} = {value}\n[learning]\nhorizon = 5\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "relaymatch.cli", "simulate",
-         "--config", str(path), "--out", str(tmp_path / "o")],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 2, proc.stderr
-    [line] = proc.stderr.splitlines()  # no traceback, no warning
-    assert line.startswith("configuration error: ") and message in line
+    proc = simulate_in_subprocess(tmp_path, f"[system]\n{key} = {value}\n")
+    assert_one_config_error_line(proc, message)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("system", "p_c", "5e-324"),
+    ("topology", "path_loss_exponent", "200"),
+])
+def test_mean_snr_underflowing_to_zero_is_config_error(tmp_path, section, key, value):
+    proc = simulate_in_subprocess(tmp_path, f"[{section}]\n{key} = {value}\n")
+    assert_one_config_error_line(proc, "mean SNR of every CU->BS link must be > 0, got 0")
 
 
 def test_missing_config_is_io_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,15 @@ class TestTieOrder:
             assert lost_pairs(m, targets, alphas, bids, rule.bias) == expected
         assert gale_shapley(self.prefs).cu_partner == (0, 1, None)
 
+    def test_cu_score_tie_goes_to_the_lower_pair_in_the_game(self, sysp):
+        rule = rm.TieBreakRule.for_instance(self.prefs)
+        pnes = rm.enumerate_pne(self.prefs, sysp, rule)
+        induced = {rm.induced_matching(b, self.prefs, sysp, rule) for b in pnes}
+        assert induced == set(enumerate_stable_matchings(self.prefs))
+        assert [mu.cu_partner for mu in induced] == [(0, 1, None)]
+        for start in product((None, 0, 1), repeat=3):
+            assert rm.better_reply_path(start, self.prefs, sysp, rule)[-1] in pnes
+
     def test_equilibria_induce_the_stable_set_when_allocations_tie(self, sysp):
         prefs = rm.PreferenceProfile(
             cu_scores=np.array([[0.5, 0.4], [0.3, 0.6], [0.7, 0.2]]),
@@ -115,8 +125,6 @@ class TestGameUtility:
         assert rm.game_utility(1, profile, prefs, sysp, rule_a) == pytest.approx(0.75 - THETA)
 
     def test_exactly_one_case_applies_everywhere(self, instance_a, rule_a, sysp):
-        from itertools import product
-
         _, prefs = instance_a
         for profile in product((None, 0, 1), repeat=2):
             for m in range(2):
@@ -216,8 +224,6 @@ class TestBetterReplyPath:
 
     def test_every_step_is_a_strict_unilateral_improvement(self, instance_a, rule_a, sysp):
         _, prefs = instance_a
-        from itertools import product
-
         for start in product((None, 0, 1), repeat=2):
             path = rm.better_reply_path(start, prefs, sysp, rule_a)
             for before, after in zip(path, path[1:]):

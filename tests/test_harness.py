@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from relaymatch.harness import (
     _topology_rng,
     run_replication,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -199,10 +203,32 @@ class TestCsvAndManifest:
         rm.write_manifest(config, a)
         rm.write_manifest(config, b)
         assert a.read_bytes() == b.read_bytes()
-        text = a.read_text()
-        assert "experiment.seed = 99" in text
-        assert "experiment.policy = ebriq" in text
-        assert "learning.horizon = 60" in text
+        assert load_config(a) == config
+
+    @pytest.mark.parametrize("name", ["small_network.ini", "comparison.ini"])
+    def test_manifest_of_a_shipped_config_loads_back(self, tmp_path, name):
+        config = load_config(CONFIGS / name)
+        rm.write_manifest(config, tmp_path / "manifest.txt")
+        assert load_config(tmp_path / "manifest.txt") == config
+
+    def test_manifest_loads_back_with_every_field_off_its_default(self, tmp_path):
+        config = rm.ExperimentConfig(
+            topology=rm.TopologyParams(num_cus=3, num_d2d=4, cell_radius=500.0,
+                                       cu_min_bs_distance=250.5,
+                                       dt_bs_distance_range=(120.25, 260.0),
+                                       d2d_link_range=(5.0, 45.125), path_loss_exponent=3.7),
+            system=rm.SystemParams(p_c=0.1, p_d=0.015, n_0=3.1622776601683794e-14,
+                                   alpha_low=0.05, alpha_high=0.6, theta=2e-3,
+                                   theta_prime=0.01),
+            learning=rm.LearningParams(epsilon0=0.3, zeta=0.05, xi=0.7, memory_length=2,
+                                       horizon=123),
+            policy="gs_oracle", num_replications=7, seed=2**64 - 1, fixed_topology=False,
+            throughput_mode="expected",
+        )
+        for field in dataclasses.fields(config):
+            assert getattr(config, field.name) != field.default, field.name
+        rm.write_manifest(config, tmp_path / "manifest.txt")
+        assert load_config(tmp_path / "manifest.txt") == config
 
 
 CONFIG_TEXT = """
