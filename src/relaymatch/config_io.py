@@ -5,7 +5,8 @@ Sections and keys come from the dataclasses in ``params``: ``[topology]``,
 ``ExperimentConfig``, ``[experiment]`` its own fields, and a range field
 ``<stem>_range`` is the two keys ``<stem>_low`` and ``<stem>_high``. Every
 key is optional (defaults are the reference-scenario values); unknown
-sections or keys are hard errors so typos cannot silently change a run. A
+sections or keys are hard errors so typos cannot silently change a run, and
+a non-empty ``[DEFAULT]`` is an unknown section like any other. A
 run's manifest (``write_manifest``) is such a file and loads back to the
 same config.
 
@@ -109,6 +110,10 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config {path}: {exc}") from exc
 
+    # configparser keeps [DEFAULT] out of sections() and merges its keys into
+    # every section, so it would set a key of whichever block happens to have it.
+    if parser.defaults():
+        raise ConfigurationError(f"unknown section [{parser.default_section}] in {path}")
     for section in parser.sections():
         if section not in _KEYS:
             raise ConfigurationError(f"unknown section [{section}] in {path}")

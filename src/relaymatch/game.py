@@ -14,7 +14,10 @@ profile some sequence of single-CU improvements reaches one;
 
 The pair's choice rule is coded here once: ``choice_winners`` picks every
 pair's CU from the proposals, and ``lost_pairs`` finds the pairs a CU would
-lose if it moved there. The learners score their options with the latter.
+lose if it moved there. ``lost_pairs`` compares bids, allocations with the
+bias already added, from a table its caller keeps: the solvers build the
+instance's table once per call (``_bid_table``), and the learners read the
+one their ``PublicRecord`` keeps up to date.
 """
 
 from __future__ import annotations
@@ -107,21 +110,26 @@ def choice_winners(proposals: Sequence[Proposal], rule: TieBreakRule,
     return winners
 
 
-def lost_pairs(m: int, targets, alphas, bids, bias) -> list:
+def lost_pairs(m: int, targets, bid_table, bids) -> list:
     """The pairs that would pick another CU over CU ``m`` if ``m`` moved there.
 
-    ``targets[m2]`` is CU m2's target (None to opt out) and ``alphas[m2][n]``
-    the allocation it offers pair n; CU ``m``'s own entries are ignored, and
-    ``bids[n]`` is its bid (allocation plus bias) at pair n. The choice rule
-    is ``choice_winners``'.
+    ``targets[m2]`` is CU m2's target (None to opt out) and
+    ``bid_table[m2][n]`` its bid at pair n, the offered allocation plus its
+    bias; CU ``m``'s own entries are ignored, and ``bids[n]`` is its bid at
+    pair n. The choice rule is ``choice_winners``'.
     """
     lost = []
     for m2, n2 in enumerate(targets):
         if n2 is not None and m2 != m:
-            bid = alphas[m2][n2] + bias[m2]
-            if bid > bids[n2] or (bid == bids[n2] and m2 < m):
+            # A lower-indexed rival wins an exact tie as well.
+            if (bid_table[m2][n2] >= bids[n2]) if m2 < m else (bid_table[m2][n2] > bids[n2]):
                 lost.append(n2)
     return lost
+
+
+def _bid_table(alphas, rule: TieBreakRule) -> list:
+    """``alphas[m][n]`` plus CU m's bias, for every CU and pair."""
+    return [[alpha + b for alpha in row] for row, b in zip(alphas, rule.bias)]
 
 
 def _profile_winners(profile, alphas, rule: TieBreakRule, num_d2d: int) -> list:
@@ -170,8 +178,7 @@ def induced_matching(profile, prefs: PreferenceProfile, sys: SystemParams,
     return Matching.from_cu_partners(cu_partner, prefs.num_d2d)
 
 
-def _improving_moves(profile, winners, utils, alphas, cu_scores, theta: float,
-                     rule: TieBreakRule):
+def _improving_moves(profile, winners, utils, bid_table, cu_scores, theta: float):
     """Yield every (cu, action) unilateral move that improves that CU's lot.
 
     A move improves when it strictly raises the CU's payoff, or when it takes
@@ -181,12 +188,11 @@ def _improving_moves(profile, winners, utils, alphas, cu_scores, theta: float,
     CU, opting out first, then the pairs in index order. The profile is a
     pure Nash equilibrium when none is yielded.
     """
-    bias = rule.bias
     for m, current in enumerate(profile):
         if current is not None and 0.0 > utils[m]:
             yield m, None
         accepted = current is not None and winners[current] == m
-        lost = lost_pairs(m, profile, alphas, [a + bias[m] for a in alphas[m]], bias)
+        lost = lost_pairs(m, profile, bid_table, bid_table[m])
         for n, score in enumerate(cu_scores[m]):
             if n != current:
                 payoff = -theta if n in lost else score - theta
@@ -221,12 +227,13 @@ def enumerate_pne(prefs: PreferenceProfile, sys: SystemParams,
         rule = TieBreakRule.for_instance(prefs)
     check_negotiation_cost(prefs, sys)
     alphas, cu_scores, theta = prefs.d2d_scores.tolist(), prefs.cu_scores.tolist(), sys.theta
+    bid_table = _bid_table(alphas, rule)
     actions = (None, *range(prefs.num_d2d))
     equilibria = []
     for profile in product(actions, repeat=prefs.num_cus):
         winners = _profile_winners(profile, alphas, rule, prefs.num_d2d)
         utils = _utilities(profile, winners, cu_scores, theta)
-        moves = _improving_moves(profile, winners, utils, alphas, cu_scores, theta, rule)
+        moves = _improving_moves(profile, winners, utils, bid_table, cu_scores, theta)
         if next(moves, None) is None:
             equilibria.append(profile)
     return equilibria
@@ -255,6 +262,7 @@ def better_reply_path(start, prefs: PreferenceProfile, sys: SystemParams,
         if action is not None and not 0 <= action < prefs.num_d2d:
             raise ValueError(f"action {action!r} is not a pair id or None")
     alphas, cu_scores, theta = prefs.d2d_scores.tolist(), prefs.cu_scores.tolist(), sys.theta
+    bid_table = _bid_table(alphas, rule)
     path = [profile]
     cap = prefs.num_cus * (prefs.num_d2d + 1) * count_matchings(prefs.num_cus, prefs.num_d2d)
     seen = {profile}
@@ -267,8 +275,7 @@ def better_reply_path(start, prefs: PreferenceProfile, sys: SystemParams,
         if opt_outs:
             move = opt_outs[0]
         else:
-            moves = list(_improving_moves(profile, winners, utils, alphas, cu_scores, theta,
-                                          rule))
+            moves = list(_improving_moves(profile, winners, utils, bid_table, cu_scores, theta))
             if not moves:
                 return path  # no better reply anywhere: a pure Nash equilibrium
             move = rng.choice(moves) if randomized else moves[0]

@@ -116,7 +116,8 @@ def make_agents(policy: str, env: SimEnvironment, learning: LearningParams,
     """Fresh per-CU agents for one replication."""
     m_range = range(env.num_cus)
     if policy == "ebriq":
-        record = PublicRecord(env.num_cus, env.num_d2d, env.sys, learning.memory_length)
+        record = PublicRecord(env.num_cus, env.num_d2d, env.sys, learning.memory_length,
+                              env.rule.bias)
         return [
             EbriQAgent(m, env.num_cus, env.num_d2d, env.direct_rates[m],
                        env.sys, learning, env.rule.bias, record)
@@ -192,14 +193,10 @@ def run_period(env: SimEnvironment, agents, t: int, rng: _random.Random,
     for agent in agents:
         agent.update(obs, t)
 
-    return PeriodMetrics(
-        period=t,
-        system_throughput=cu_throughput + d2d_throughput,
-        cu_throughput=cu_throughput,
-        sm_indicator=env.matching_is_stable(winners),
-        mean_alpha_ratio=ratio_sum / num_matched if num_matched else math.nan,
-        num_matched=num_matched,
-    )
+    # Positional: a keyword NamedTuple call costs about a microsecond more.
+    return PeriodMetrics(t, cu_throughput + d2d_throughput, cu_throughput,
+                         env.matching_is_stable(winners),
+                         ratio_sum / num_matched if num_matched else math.nan, num_matched)
 
 
 class ReplicationTrace(NamedTuple):

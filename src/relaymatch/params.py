@@ -134,6 +134,29 @@ class LearningParams:
 POLICIES = ("ebriq", "epsilon_greedy", "random", "noncoop", "gs_oracle")
 THROUGHPUT_MODES = ("sampled", "expected")
 
+# What a run keeps must fit in MAX_RUN_BYTES, or its config is rejected before
+# anything is allocated. The limit is fixed, not a setting: it keeps a config
+# that would exhaust memory partway in from starting at all.
+MAX_RUN_BYTES = 4 * 2**30
+# Per simulated period: ten 8-byte series in run_experiment and its ResultSet,
+# plus one replication's trace (three float64 series and a bool one).
+_BYTES_PER_PERIOD = 10 * 8 + 3 * 8 + 1
+# Per CU/pair cell of an instance: the rate and score tables and the per-cell
+# lists of the environment and the learning agents (about 90 and 130 bytes,
+# measured with tracemalloc on 100x100 and 200x300 instances).
+_BYTES_PER_CELL = 224
+# Per replication: its final alpha-ratio table (8 bytes a cell) and two summaries.
+_BYTES_PER_REPLICATION_CELL = 8
+_BYTES_PER_REPLICATION = 2 * 8
+
+
+def _format_bytes(size: int) -> str:
+    for unit in ("B", "KiB", "MiB", "GiB"):
+        if size < 1024:
+            return f"{size:.3g} {unit}"
+        size /= 1024
+    return f"{size:.3g} TiB"
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -166,3 +189,22 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"seed (={self.seed}) must be an unsigned 64-bit integer"
             )
+        size = self.run_bytes()
+        if size > MAX_RUN_BYTES:
+            raise ConfigurationError(
+                f"a run of this config needs about {_format_bytes(size)} for its per-period "
+                f"series and (M, N) tables, above the fixed limit of "
+                f"{_format_bytes(MAX_RUN_BYTES)}; lower horizon, num_cus, num_d2d or "
+                "num_replications"
+            )
+
+    def run_bytes(self) -> int:
+        """Bytes a run of this config keeps: its per-period series and its tables.
+
+        Computed from the sizes alone, so a config too large to run is
+        rejected (``MAX_RUN_BYTES``) without allocating anything.
+        """
+        cells = self.topology.num_cus * self.topology.num_d2d
+        per_replication = cells * _BYTES_PER_REPLICATION_CELL + _BYTES_PER_REPLICATION
+        return (self.learning.horizon * _BYTES_PER_PERIOD + cells * _BYTES_PER_CELL
+                + self.num_replications * per_replication)

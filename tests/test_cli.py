@@ -75,9 +75,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def simulate_in_subprocess(tmp_path, config_text):
+def simulate_in_subprocess(tmp_path, config_text, horizon=5):
     path = tmp_path / "bad.ini"
-    path.write_text(config_text + "[learning]\nhorizon = 5\n")
+    path.write_text(config_text + f"[learning]\nhorizon = {horizon}\n")
     return subprocess.run(
         [sys.executable, "-m", "relaymatch.cli", "simulate",
          "--config", str(path), "--out", str(tmp_path / "o")],
@@ -115,6 +115,29 @@ def test_instance_breaking_a_precondition_is_config_error(tmp_path, key, value, 
 def test_mean_snr_underflowing_to_zero_is_config_error(tmp_path, section, key, value):
     proc = simulate_in_subprocess(tmp_path, f"[{section}]\n{key} = {value}\n")
     assert_one_config_error_line(proc, "mean SNR of every CU->BS link must be > 0, got 0")
+
+
+@pytest.mark.parametrize("config_text, horizon, size", [
+    ("", 10**12, "95.5 TiB"),
+    ("[topology]\nnum_cus = 100000\nnum_d2d = 100000\n", 5, "2.11 TiB"),
+])
+def test_config_too_large_to_run_is_config_error(tmp_path, config_text, horizon, size):
+    # Both used to end in numpy's _ArrayMemoryError with exit 1.
+    proc = simulate_in_subprocess(tmp_path, config_text, horizon)
+    assert_one_config_error_line(proc, f"needs about {size}")
+    assert "above the fixed limit of 4 GiB" in proc.stderr
+
+
+@pytest.mark.parametrize("config_text", [
+    "[DEFAULT]\nseed = 5\n",
+    "[DEFAULT]\nseed = 5\n[experiment]\npolicy = ebriq\n",
+    "[DEFAULT]\nseed = 5\n[learning]\nhorizon = 5\n",
+])
+def test_default_section_is_an_unknown_section(tmp_path, capsys, config_text):
+    path = tmp_path / "run.ini"
+    path.write_text(config_text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "configuration error: unknown section [DEFAULT]" in capsys.readouterr().err
 
 
 def test_missing_config_is_io_error(tmp_path, capsys):

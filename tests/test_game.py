@@ -82,9 +82,9 @@ class TestTieOrder:
         alphas = self.prefs.d2d_scores.tolist()
         assert choice_winners([rm.Proposal(0, 0.2)] * 3, rule, 2) == [0, None]
         targets = (0, 1, 0)
+        bid_table = [[a + b for a in row] for row, b in zip(alphas, rule.bias)]
         for m, expected in ((0, []), (1, [0]), (2, [0, 1])):
-            bids = [a + rule.bias[m] for a in alphas[m]]
-            assert lost_pairs(m, targets, alphas, bids, rule.bias) == expected
+            assert lost_pairs(m, targets, bid_table, bid_table[m]) == expected
         assert gale_shapley(self.prefs).cu_partner == (0, 1, None)
 
     def test_cu_score_tie_goes_to_the_lower_pair_in_the_game(self, sysp):

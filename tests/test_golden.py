@@ -7,17 +7,25 @@ change that moves a draw or reorders a sum changes a hash, even when the
 results stay statistically the same. A change that alters the random stream
 on purpose must refresh ``GOLDEN`` (run this module with ``-s`` to print the
 new table) and say so in CHANGES.md.
+
+``SOLVER_GOLDEN`` pins the complete-information solvers the same way: the
+equilibria and every better-reply path (seed 0) on seeded random instances,
+a third of them with allocations rounded to one decimal so that exact ties
+are common.
 """
 
 import dataclasses
 import hashlib
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relaymatch as rm
 from relaymatch.config_io import load_config
 from relaymatch.harness import SimEnvironment, _replication_rng, _topology_rng, run_replication
+from relaymatch.verification import random_preferences
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 HORIZON = 300
@@ -90,3 +98,30 @@ def test_trace_matches_golden(case):
     digest = trace_digest(*case)
     print(f"    {case!r}:\n        {digest!r},".replace("'", '"'))
     assert digest == GOLDEN[case]
+
+
+SOLVER_INSTANCES = 300
+SOLVER_GOLDEN = "391b795d95f78732d8d797b96f3db098dea0f7c9cc4c27a685506d949ec47da2"
+
+
+def solver_digest() -> str:
+    sysp = rm.SystemParams()
+    digest = hashlib.sha256()
+    for i in range(SOLVER_INSTANCES):
+        rng = np.random.default_rng([31, i])
+        num_cus, num_d2d = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        prefs = random_preferences(num_cus, num_d2d, rng, sysp)
+        if i % 3 == 0:
+            prefs = rm.PreferenceProfile(cu_scores=prefs.cu_scores,
+                                         d2d_scores=np.round(prefs.d2d_scores, 1))
+        equilibria = rm.enumerate_pne(prefs, sysp)
+        paths = [rm.better_reply_path(start, prefs, sysp)
+                 for start in product((None, *range(num_d2d)), repeat=num_cus)]
+        digest.update(repr((equilibria, paths)).encode())
+    return digest.hexdigest()
+
+
+def test_solvers_match_golden():
+    digest = solver_digest()
+    print(f"    SOLVER_GOLDEN = {digest!r}".replace("'", '"'))
+    assert digest == SOLVER_GOLDEN

@@ -16,6 +16,7 @@ from relaymatch.harness import (
     _topology_rng,
     run_replication,
 )
+from relaymatch.params import MAX_RUN_BYTES
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -56,6 +57,21 @@ class TestConfigValidation:
             small_config(seed=-1)
         with pytest.raises(ConfigurationError, match="seed"):
             small_config(seed=2**64)
+
+    def test_run_size_is_checked_against_the_fixed_limit(self):
+        config = small_config()
+        cells = config.topology.num_cus * config.topology.num_d2d
+        per_replication = 8 * cells + 16
+        grown = dataclasses.replace(config, num_replications=config.num_replications + 1)
+        assert grown.run_bytes() - config.run_bytes() == per_replication
+        longer = apply_overrides(config, periods=config.learning.horizon + 1)
+        assert longer.run_bytes() - config.run_bytes() == 105
+        # The most replications that fit are accepted, one more is rejected.
+        fixed = config.run_bytes() - config.num_replications * per_replication
+        most = (MAX_RUN_BYTES - fixed) // per_replication
+        assert small_config(num_replications=most).run_bytes() <= MAX_RUN_BYTES
+        with pytest.raises(ConfigurationError, match=r"needs about 4 GiB .* limit of 4 GiB"):
+            small_config(num_replications=most + 1)
 
 
 class TestRunPeriod:

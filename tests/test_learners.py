@@ -1,17 +1,20 @@
 import math
 import random
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import relaymatch as rm
 from relaymatch import learners
+from relaymatch.config_io import load_config
 from relaymatch.game import PASS, Proposal
-from relaymatch.harness import _topology_rng
+from relaymatch.harness import _replication_rng, _topology_rng
 from relaymatch.learners import PeriodObservation, PublicRecord, epsilon_schedule
 
 LEARN = rm.LearningParams()
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class ScriptedRng:
@@ -90,8 +93,8 @@ class TestEbriqActBranches:
 
     def test_better_reply_moves_toward_higher_estimated_utility(self, sysp):
         agent = make_agent(sysp)
-        agent.rate_estimates = [1.2, 5.0]
-        agent.own_alphas = [agent._alpha_of(1.2), agent._alpha_of(5.0)]
+        agent.set_estimate(0, 1.2)
+        agent.set_estimate(1, 5.0)
         agent.last_action = 0
         agent.record.memory.append((0, None))  # opponent elsewhere: both pairs winnable
         prop = agent.act(2, ScriptedRng(0.99, 0.99, 0.0))
@@ -99,8 +102,8 @@ class TestEbriqActBranches:
 
     def test_no_better_reply_repeats(self, sysp):
         agent = make_agent(sysp)
-        agent.rate_estimates = [5.0, 1.2]
-        agent.own_alphas = [agent._alpha_of(5.0), agent._alpha_of(1.2)]
+        agent.set_estimate(0, 5.0)
+        agent.set_estimate(1, 1.2)
         agent.last_action = 0
         agent.record.memory.append((0, None))
         prop = agent.act(2, ScriptedRng(0.99, 0.99, 0.0))
@@ -110,8 +113,8 @@ class TestEbriqActBranches:
         # pin the non-exploring branch to pair 0 so proposals to pair 1 can
         # only come from the exploration branch
         agent = make_agent(sysp)
-        agent.rate_estimates = [5.0, 1.2]
-        agent.own_alphas = [agent._alpha_of(5.0), agent._alpha_of(1.2)]
+        agent.set_estimate(0, 5.0)
+        agent.set_estimate(1, 1.2)
         agent.last_action = 0
         agent.record.memory.append((0, None))
         t = 100
@@ -257,8 +260,9 @@ class TestPublicRecord:
         assert rm.make_agents("ebriq", env, LEARN)[0].record is not record
 
     def test_one_observation_advances_the_record_once(self, sysp):
-        record = PublicRecord(3, 2, sysp, LEARN.memory_length)
-        agents = [rm.EbriQAgent(m, 3, 2, 1.0, sysp, LEARN, (1e-6, 2e-6, 3e-6), record)
+        bias = (1e-6, 2e-6, 3e-6)
+        record = PublicRecord(3, 2, sysp, LEARN.memory_length, bias)
+        agents = [rm.EbriQAgent(m, 3, 2, 1.0, sysp, LEARN, bias, record)
                   for m in range(3)]
         proposals = (Proposal(0, 0.2), Proposal(0, 0.3), PASS)
         obs = PeriodObservation(proposals, (1, None), (None, 1.5, None))
@@ -280,6 +284,40 @@ class TestPublicRecord:
         assert a.record is not b.record
 
 
+class TestTables:
+    @pytest.mark.parametrize("name", ["small_network.ini", "comparison.ini"])
+    def test_tables_equal_their_recomputation_after_a_run(self, name):
+        config = load_config(CONFIGS / name)
+        topology = rm.generate_topology(config.topology, _topology_rng(config.seed, 0))
+        env = rm.SimEnvironment(topology, config.system)
+        agents = rm.make_agents("ebriq", env, config.learning)
+        rng = _replication_rng(config.seed, 0)
+        for t in range(1, 301):
+            rm.run_period(env, agents, t, rng)
+        record = agents[0].record
+        bias = env.rule.bias
+        assert record.bias == bias
+        theta = config.system.theta
+        for m, agent in enumerate(agents):
+            assert record.bids[m] == [alpha + bias[m] for alpha in record.announced_alphas[m]]
+            assert agent.bids == [alpha + bias[m] for alpha in agent.own_alphas]
+            assert agent.win_value == [
+                (1.0 - alpha) * estimate - agent.direct_rate - theta
+                for alpha, estimate in zip(agent.own_alphas, agent.rate_estimates)
+            ]
+            assert agent.own_alphas == [agent._alpha_of(r) for r in agent.rate_estimates]
+        # the run moved the tables off their start values
+        assert any(a != config.system.alpha_low for row in record.announced_alphas for a in row)
+        assert all(sum(agent.coop_counts) > 0 for agent in agents)
+
+    def test_record_and_agents_must_share_biases(self, sysp):
+        record = PublicRecord(2, 2, sysp, LEARN.memory_length, (2e-6, 1e-6))
+        with pytest.raises(ValueError, match="other biases"):
+            rm.EbriQAgent(0, 2, 2, 1.0, sysp, LEARN, (1e-6, 2e-6), record)
+        with pytest.raises(ValueError, match="one bias per CU"):
+            PublicRecord(3, 2, sysp, LEARN.memory_length, (2e-6, 1e-6))
+
+
 class TestEstimatedUtility:
     def test_opting_out_is_zero(self, sysp):
         agent = make_agent(sysp)
@@ -287,24 +325,25 @@ class TestEstimatedUtility:
 
     def test_uncontested_target_value(self, sysp):
         agent = make_agent(sysp, direct_rate=1.0)
-        agent.rate_estimates[1] = 2.0
-        agent.own_alphas[1] = 0.25
+        agent.set_estimate(1, 2.0)
+        assert agent.own_alphas[1] == 0.25  # (2 - 1) / (2 * 2)
         assert agent.estimated_utility(1, (1, None)) == pytest.approx(0.499)
 
     def test_losing_to_higher_announcement_costs_theta(self, sysp):
         agent = make_agent(sysp)
-        agent.own_alphas[0] = 0.2
-        agent.record.announced_alphas[1][0] = 0.3
+        agent.set_estimate(0, 5 / 3)
+        assert agent.own_alphas[0] == pytest.approx(0.2)
+        agent.record.announce(1, 0, 0.3)
         assert agent.estimated_utility(0, (None, 0)) == pytest.approx(-sysp.theta)
 
     def test_memory_scores_sum_single_evaluations(self, sysp):
         rng = np.random.default_rng(17)
         agent = make_agent(sysp, num_cus=3, num_d2d=3)
-        agent.rate_estimates = [2.0, 3.0, 4.0]
-        agent.own_alphas = [agent._alpha_of(r) for r in agent.rate_estimates]
+        for n, estimate in enumerate([2.0, 3.0, 4.0]):
+            agent.set_estimate(n, estimate)
         for m in range(3):
             for n in range(3):
-                agent.record.announced_alphas[m][n] = float(rng.uniform(0.1, 0.5))
+                agent.record.announce(m, n, float(rng.uniform(0.1, 0.5)))
         entries = [
             tuple(None if rng.random() < 0.3 else int(rng.integers(3)) for _ in range(3))
             for _ in range(4)
