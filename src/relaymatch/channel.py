@@ -8,8 +8,9 @@ on the D2D pair's own link, so the relay rate is the two-leg average and the
 full-frame CU rate carries a (1 - alpha) prefactor.
 
 A link's mean SNR c (``snr_scales``) fixes its expected rate E[ln(1 + c eta)],
-given here in closed form; the harness's period loop draws the fading eta of
-the realized rates ln(1 + c eta) itself.
+given here in closed form. ``sample_log_rates`` is the one sampler of realized
+rates ln(1 + c eta): a table of i.i.d. fading draws, one row per period and
+one column per link, filled row by row from a numpy Generator.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "RateTable",
     "expected_log_rate",
     "generate_topology",
+    "sample_log_rates",
     "true_rates",
 ]
 
@@ -89,6 +91,19 @@ def expected_log_rate(snr_scale):
         raise ValueError(f"snr_scale must be > 0, got {snr_scale}")
     with np.errstate(over="ignore"):  # 1/c overflows only where the rate underflows
         return special.hyperu(1.0, 1.0, 1.0 / c)
+
+
+def sample_log_rates(snr_scale: np.ndarray, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """Realized rates ln(1 + c*eta), shape (rows, len(c)), eta i.i.d. unit exponential.
+
+    The draws fill the table row by row, so two calls of a and b rows give
+    the same numbers as one call of a + b rows. ``np.log1p`` may differ from
+    the C library's ``log1p`` in the last bit on CPUs where numpy uses its
+    own vectorized version (AVX-512, for one).
+    """
+    table = rng.standard_exponential((rows, len(snr_scale)))
+    table *= snr_scale
+    return np.log1p(table, out=table)
 
 
 def _annulus_points(r_low, r_high, size, rng, area_uniform):

@@ -1,13 +1,19 @@
 """Experiment orchestration: period loop, Monte Carlo replication, file output.
 
 A replication simulates one topology for a fixed horizon of synchronous
-periods. Per period: collect proposals, let every D2D pair choose, draw the
-fading realizations, hand every agent the period's one observation, and
-record metrics.
+periods. Per period: collect proposals, let every D2D pair choose, read the
+period's row of fading realizations, hand every agent the period's one
+observation, and record metrics.
 Replications are seeded independently from the experiment seed through
 numpy's SeedSequence, so results are reproducible bit-for-bit and independent
-of execution order; the per-period draws inside a replication come from one
-stdlib ``random.Random`` stream, which keeps the loop cheap.
+of execution order and of the replication count. A replication has two
+streams of its own: the agents' decision draws come from a stdlib
+``random.Random`` stream, which keeps the agents' scalar draws cheap, and the
+fading from a numpy Generator, drawn as one table row per period
+(``channel.sample_log_rates``) a chunk of periods at a time. A row holds the
+realized rate of every link, CU->BS, DT->BS and DT->DR in that order
+(``SimEnvironment.snr_scales``), whether or not the period uses it, so the
+fading never depends on what the agents do.
 
 Throughput accounting per period: a matched CU contributes its realized
 relayed frame rate (1 - alpha) * r, an unmatched CU its realized direct rate,
@@ -27,7 +33,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channel import Topology, generate_topology, snr_scales, true_rates
+from .channel import Topology, generate_topology, sample_log_rates, snr_scales, true_rates
 from .config_io import write_manifest
 from .errors import ConfigurationError
 from .game import TieBreakRule, check_negotiation_cost, choice_winners
@@ -41,7 +47,14 @@ from .learners import (
     RandomAgent,
 )
 from .matching import Matching, build_preferences, gale_shapley, is_stable
-from .params import POLICIES, ExperimentConfig, LearningParams, SystemParams
+from .params import (
+    FADING_CHUNK_ELEMENTS,
+    POLICIES,
+    STABILITY_CACHE_SIZE,
+    ExperimentConfig,
+    LearningParams,
+    SystemParams,
+)
 
 __all__ = [
     "POLICIES",
@@ -49,6 +62,7 @@ __all__ = [
     "PeriodMetrics",
     "SimEnvironment",
     "ResultSet",
+    "fading_rows",
     "make_agents",
     "run_period",
     "run_replication",
@@ -84,10 +98,7 @@ class SimEnvironment:
         self.prefs = build_preferences(self.rates, sys)
         check_negotiation_cost(self.prefs, sys)
         self.rule = TieBreakRule.for_instance(self.prefs)
-        c_cu, c_dt, c_dd = snr_scales(topology, sys)
-        self.c_cu = [float(c) for c in c_cu]
-        self.c_dt = [float(c) for c in c_dt]
-        self.c_dd = [float(c) for c in c_dd]
+        self.snr_scales = np.concatenate(snr_scales(topology, sys))  # CU->BS, DT->BS, DT->DR
         self.direct_rates = [float(r) for r in self.rates.direct_rates]
         self.relay_rates = [list(map(float, row)) for row in self.rates.relay_rates]
         self.d2d_rates = [float(r) for r in self.rates.d2d_rates]
@@ -97,7 +108,10 @@ class SimEnvironment:
         self._stability_cache: dict = {}
 
     def matching_is_stable(self, winners) -> bool:
-        """Stability of the matching given by each pair's chosen CU (cached)."""
+        """Stability of the matching given by each pair's chosen CU.
+
+        Cached for the first ``STABILITY_CACHE_SIZE`` matchings seen.
+        """
         key = tuple(winners)
         cached = self._stability_cache.get(key)
         if cached is None:
@@ -105,9 +119,9 @@ class SimEnvironment:
             for n, m in enumerate(winners):
                 if m is not None:
                     cu_partner[m] = n
-            mu = Matching(tuple(cu_partner), key)
-            cached = is_stable(mu, self.prefs)
-            self._stability_cache[key] = cached
+            cached = is_stable(Matching(tuple(cu_partner), key), self.prefs)
+            if len(self._stability_cache) < STABILITY_CACHE_SIZE:
+                self._stability_cache[key] = cached
         return cached
 
 
@@ -145,39 +159,37 @@ def make_agents(policy: str, env: SimEnvironment, learning: LearningParams,
     raise ConfigurationError(f"unknown policy {policy!r}")
 
 
-def run_period(env: SimEnvironment, agents, t: int, rng: _random.Random,
+def run_period(env: SimEnvironment, agents, t: int, rng: _random.Random, fading,
                sampled: bool = True) -> PeriodMetrics:
     """One synchronous round; mutates the agents, returns the period metrics.
 
-    Every exponential fading draw is ``-log(1 - U)`` for a uniform ``U`` from
-    ``rng.random``, which is exactly how ``random.Random.expovariate(1.0)``
-    computes it.
+    ``rng`` serves the agents' decisions. ``fading`` is the period's row of
+    realized link rates (``SimEnvironment.snr_scales`` gives the column
+    order): a matched CU m with pair n samples the relayed rate
+    ``0.5 * (fading[m] + fading[M + n])``, the pair's D2D rate is
+    ``fading[M + N + n]``, and an unmatched CU's direct rate ``fading[m]``.
     """
     proposals = tuple([agent.act(t, rng) for agent in agents])
     winners = tuple(choice_winners(proposals, env.rule, env.num_d2d))
 
-    random = rng.random
-    log = math.log
-    log1p = math.log1p
-    c_cu, c_dt, c_dd = env.c_cu, env.c_dt, env.c_dd
+    num_cus = env.num_cus
+    own = num_cus + env.num_d2d  # column of pair 0's DT->DR link
     alpha_star = env.alpha_star
     cu_throughput = 0.0
     d2d_throughput = 0.0
     num_matched = 0
     ratio_sum = 0.0
-    rate_samples = [None] * env.num_cus
+    rate_samples = [None] * num_cus
     for n, m in enumerate(winners):
         if m is None:
             continue
         num_matched += 1
         alpha = proposals[m].alpha
-        sample = 0.5 * (
-            log1p(c_cu[m] * -log(1.0 - random())) + log1p(c_dt[n] * -log(1.0 - random()))
-        )
+        sample = 0.5 * (fading[m] + fading[num_cus + n])
         rate_samples[m] = sample
         if sampled:
             cu_throughput += (1.0 - alpha) * sample
-            d2d_throughput += alpha * log1p(c_dd[n] * -log(1.0 - random()))
+            d2d_throughput += alpha * fading[own + n]
         else:
             cu_throughput += (1.0 - alpha) * env.relay_rates[m][n]
             d2d_throughput += alpha * env.d2d_rates[n]
@@ -185,7 +197,7 @@ def run_period(env: SimEnvironment, agents, t: int, rng: _random.Random,
     for m, sample in enumerate(rate_samples):
         if sample is None:
             if sampled:
-                cu_throughput += log1p(c_cu[m] * -log(1.0 - random()))
+                cu_throughput += fading[m]
             else:
                 cu_throughput += env.direct_rates[m]
 
@@ -209,10 +221,25 @@ class ReplicationTrace(NamedTuple):
     final_alpha_ratio: np.ndarray  # (M, N); NaN where the pair was never sampled
 
 
+def fading_rows(snr_scale: np.ndarray, horizon: int, rng: np.random.Generator):
+    """The rows 1..horizon of a replication's fading table, as lists of floats.
+
+    Drawn ``FADING_CHUNK_ELEMENTS`` samples (at least one row) at a time;
+    the table fills row by row, so the chunk size changes no value.
+    """
+    chunk_rows = max(1, FADING_CHUNK_ELEMENTS // len(snr_scale))
+    for start in range(0, horizon, chunk_rows):
+        yield from sample_log_rates(snr_scale, min(chunk_rows, horizon - start), rng).tolist()
+
+
 def run_replication(env: SimEnvironment, policy: str, learning: LearningParams,
-                    rng: _random.Random, horizon: Optional[int] = None,
+                    rng: _random.Random, fading_rng: np.random.Generator,
+                    horizon: Optional[int] = None,
                     throughput_mode: str = "sampled") -> ReplicationTrace:
-    """Simulate one seeded replication over the full horizon."""
+    """Simulate one seeded replication over the full horizon.
+
+    ``rng`` drives the agents' decisions and ``fading_rng`` the fading table.
+    """
     horizon = learning.horizon if horizon is None else horizon
     sampled = throughput_mode == "sampled"
     agents = make_agents(policy, env, learning)
@@ -220,8 +247,9 @@ def run_replication(env: SimEnvironment, policy: str, learning: LearningParams,
     cu_only = np.empty(horizon)
     sm = np.empty(horizon, dtype=bool)
     ratio = np.empty(horizon)
-    for t in range(1, horizon + 1):
-        metrics = run_period(env, agents, t, rng, sampled)
+    rows = fading_rows(env.snr_scales, horizon, fading_rng)
+    for t, fading in enumerate(rows, start=1):
+        metrics = run_period(env, agents, t, rng, fading, sampled)
         i = t - 1
         system[i] = metrics.system_throughput
         cu_only[i] = metrics.cu_throughput
@@ -267,6 +295,10 @@ def _replication_rng(seed: int, rep: int) -> _random.Random:
     return _random.Random(int(state[0]) << 64 | int(state[1]))
 
 
+def _fading_rng(seed: int, rep: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([seed, 3, rep]))
+
+
 def _topology_rng(seed: int, rep: Optional[int]) -> np.random.Generator:
     key = [seed, 0] if rep is None else [seed, 2, rep]
     return np.random.default_rng(np.random.SeedSequence(key))
@@ -307,7 +339,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ResultSet:
             env = SimEnvironment(topology, config.system)
         trace = run_replication(
             env, config.policy, config.learning,
-            _replication_rng(config.seed, rep),
+            _replication_rng(config.seed, rep), _fading_rng(config.seed, rep),
             horizon=horizon, throughput_mode=config.throughput_mode,
         )
         sum_system += trace.system_throughput

@@ -149,6 +149,22 @@ _BYTES_PER_CELL = 224
 _BYTES_PER_REPLICATION_CELL = 8
 _BYTES_PER_REPLICATION = 2 * 8
 
+# The harness draws a replication's fading table a chunk at a time: as many
+# periods as fit in this many link samples, at least one. A sample costs its
+# float64, its Python float and list slot, and its share of its row's list:
+# at most 64 bytes with the fewest links, three a row (measured with
+# tracemalloc with 6, 14 and 3000 links). A chunk does not grow with the horizon.
+FADING_CHUNK_ELEMENTS = 2**14
+_BYTES_PER_FADING_SAMPLE = 64
+# The stability of an induced matching is cached per environment, up to this
+# many matchings; past it, a matching's stability is computed and not stored.
+# A 4x5 instance has at most 5**5 = 3125 induced matchings, so all of them fit.
+STABILITY_CACHE_SIZE = 4096
+# Per cache entry: the dict slot and the key tuple, plus 8 bytes per pair
+# (measured with tracemalloc with 5, 20 and 100 pairs).
+_BYTES_PER_CACHE_ENTRY = 112
+_BYTES_PER_CACHE_KEY_ITEM = 8
+
 
 def _format_bytes(size: int) -> str:
     for unit in ("B", "KiB", "MiB", "GiB"):
@@ -193,18 +209,24 @@ class ExperimentConfig:
         if size > MAX_RUN_BYTES:
             raise ConfigurationError(
                 f"a run of this config needs about {_format_bytes(size)} for its per-period "
-                f"series and (M, N) tables, above the fixed limit of "
+                f"series, (M, N) tables and buffers, above the fixed limit of "
                 f"{_format_bytes(MAX_RUN_BYTES)}; lower horizon, num_cus, num_d2d or "
                 "num_replications"
             )
 
     def run_bytes(self) -> int:
-        """Bytes a run of this config keeps: its per-period series and its tables.
+        """Bytes a run of this config keeps: its series, its tables and its two buffers.
 
-        Computed from the sizes alone, so a config too large to run is
-        rejected (``MAX_RUN_BYTES``) without allocating anything.
+        The buffers are the fading chunk and the stability cache, both of a
+        fixed size. Computed from the sizes alone, so a config too large to
+        run is rejected (``MAX_RUN_BYTES``) without allocating anything.
         """
-        cells = self.topology.num_cus * self.topology.num_d2d
+        num_cus, num_d2d = self.topology.num_cus, self.topology.num_d2d
+        cells = num_cus * num_d2d
         per_replication = cells * _BYTES_PER_REPLICATION_CELL + _BYTES_PER_REPLICATION
+        links = num_cus + 2 * num_d2d
+        fading_chunk = max(FADING_CHUNK_ELEMENTS, links) * _BYTES_PER_FADING_SAMPLE
+        cache = STABILITY_CACHE_SIZE * (_BYTES_PER_CACHE_ENTRY
+                                        + num_d2d * _BYTES_PER_CACHE_KEY_ITEM)
         return (self.learning.horizon * _BYTES_PER_PERIOD + cells * _BYTES_PER_CELL
-                + self.num_replications * per_replication)
+                + self.num_replications * per_replication + fading_chunk + cache)

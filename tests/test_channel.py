@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import relaymatch as rm
-from relaymatch.channel import snr_scales
+from relaymatch.channel import sample_log_rates, snr_scales
 from relaymatch.errors import ConfigurationError
 
 
@@ -45,6 +45,24 @@ class TestExpectedLogRate:
             samples = np.log1p(c * draws)
             se = samples.std() / math.sqrt(samples.size)
             assert abs(rm.expected_log_rate(c) - samples.mean()) < 4 * se
+
+
+class TestSampleLogRates:
+    def test_fills_row_by_row(self):
+        c = np.array([0.5, 3.0, 40.0])
+        whole = sample_log_rates(c, 7, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        parts = np.vstack([sample_log_rates(c, 3, rng), sample_log_rates(c, 4, rng)])
+        assert whole.shape == (7, 3)
+        assert np.array_equal(whole, parts)
+
+    def test_is_log1p_of_scaled_exponential_draws(self):
+        c = np.array([1e-3, 1.0, 2e4])
+        table = sample_log_rates(c, 50, np.random.default_rng(8))
+        eta = np.random.default_rng(8).standard_exponential((50, 3))
+        scalar = [[math.log1p(ci * e) for ci, e in zip(c, row)] for row in eta]
+        # numpy's vectorized log1p may differ from the C library's in the last bit
+        assert np.allclose(table, scalar, rtol=4e-16, atol=0)
 
 
 class TestGenerateTopology:

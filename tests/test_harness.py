@@ -1,22 +1,27 @@
 import dataclasses
 import math
 import random
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import relaymatch as rm
+from relaymatch import harness
 from relaymatch.config_io import apply_overrides, load_config
 from relaymatch.errors import ConfigurationError
 from relaymatch.harness import (
     CSV_HEADER,
     SimEnvironment,
+    _fading_rng,
     _replication_rng,
     _topology_rng,
+    fading_rows,
     run_replication,
 )
-from relaymatch.params import MAX_RUN_BYTES
+from relaymatch.params import FADING_CHUNK_ELEMENTS, MAX_RUN_BYTES, STABILITY_CACHE_SIZE
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -74,14 +79,23 @@ class TestConfigValidation:
             small_config(num_replications=most + 1)
 
 
+def rows(env, seed, horizon=1):
+    """The first ``horizon`` fading rows of ``env`` from a Generator seeded with ``seed``."""
+    return fading_rows(env.snr_scales, horizon, np.random.default_rng(seed))
+
+
+def first_row(env, seed):
+    return next(rows(env, seed))
+
+
 class TestRunPeriod:
     def test_noncoop_throughput_is_sum_of_direct_samples(self, env22):
         agents = [rm.NonCoopAgent() for _ in range(env22.num_cus)]
         rng = random.Random(5)
-        metrics = rm.run_period(env22, agents, 1, rng)
-        clone = random.Random(5)
+        metrics = rm.run_period(env22, agents, 1, rng, first_row(env22, 5))
+        eta = np.random.default_rng(5).standard_exponential(len(env22.snr_scales))
         expected = sum(
-            math.log1p(env22.c_cu[m] * clone.expovariate(1.0)) for m in range(env22.num_cus)
+            math.log1p(env22.snr_scales[m] * eta[m]) for m in range(env22.num_cus)
         )
         assert metrics.cu_throughput == pytest.approx(expected)
         assert metrics.system_throughput == pytest.approx(expected)
@@ -91,12 +105,12 @@ class TestRunPeriod:
     def test_gs_oracle_is_stable_every_period(self, env22):
         agents = rm.make_agents("gs_oracle", env22, rm.LearningParams())
         rng = random.Random(7)
-        for t in range(1, 201):
-            assert rm.run_period(env22, agents, t, rng).sm_indicator
+        for t, fading in enumerate(rows(env22, 7, 200), start=1):
+            assert rm.run_period(env22, agents, t, rng, fading).sm_indicator
 
     def test_gs_oracle_alpha_ratio_is_one(self, env22):
         agents = rm.make_agents("gs_oracle", env22, rm.LearningParams())
-        metrics = rm.run_period(env22, agents, 1, random.Random(9))
+        metrics = rm.run_period(env22, agents, 1, random.Random(9), first_row(env22, 9))
         assert metrics.mean_alpha_ratio == pytest.approx(1.0)
 
     def test_fixed_seed_gives_identical_metric_stream(self, env22):
@@ -104,40 +118,42 @@ class TestRunPeriod:
         for _ in range(2):
             agents = rm.make_agents("ebriq", env22, rm.LearningParams())
             rng = random.Random(13)
-            streams.append([rm.run_period(env22, agents, t, rng) for t in range(1, 101)])
+            streams.append([rm.run_period(env22, agents, t, rng, fading)
+                            for t, fading in enumerate(rows(env22, 13, 100), start=1)])
         assert streams[0] == streams[1]
 
     def test_matched_cu_contribution_within_sample_bounds(self, env22, sysp):
         # replay the gs_oracle period and check (1-alpha)*r against the draws
         agents = rm.make_agents("gs_oracle", env22, rm.LearningParams())
         rng = random.Random(17)
-        metrics = rm.run_period(env22, agents, 1, rng)
-        clone = random.Random(17)
+        metrics = rm.run_period(env22, agents, 1, rng, first_row(env22, 17))
+        c = env22.snr_scales
+        eta = np.random.default_rng(17).standard_exponential(len(c))
+        num_cus = env22.num_cus
         mu = rm.gale_shapley(env22.prefs)
         cu_total = 0.0
         for n, m in enumerate(mu.d2d_partner):
             if m is None:
                 continue
             r = 0.5 * (
-                math.log1p(env22.c_cu[m] * clone.expovariate(1.0))
-                + math.log1p(env22.c_dt[n] * clone.expovariate(1.0))
+                math.log1p(c[m] * eta[m])
+                + math.log1p(c[num_cus + n] * eta[num_cus + n])
             )
-            clone.expovariate(1.0)  # the pair's own-rate draw
             alpha = env22.alpha_star[m][n]
             contribution = (1 - alpha) * r
             assert 0.0 <= contribution <= 2.0 * r
             cu_total += contribution
         for m in range(env22.num_cus):
             if mu.cu_partner[m] is None:
-                cu_total += math.log1p(env22.c_cu[m] * clone.expovariate(1.0))
+                cu_total += math.log1p(c[m] * eta[m])
         assert metrics.cu_throughput == pytest.approx(cu_total)
 
     def test_expected_mode_noncoop_is_flat_and_exact(self, env22):
         agents = [rm.NonCoopAgent() for _ in range(env22.num_cus)]
         rng = random.Random(19)
         values = {
-            rm.run_period(env22, agents, t, rng, sampled=False).system_throughput
-            for t in range(1, 20)
+            rm.run_period(env22, agents, t, rng, fading, sampled=False).system_throughput
+            for t, fading in enumerate(rows(env22, 19, 19), start=1)
         }
         assert len(values) == 1
         assert values.pop() == pytest.approx(sum(env22.direct_rates))
@@ -163,7 +179,8 @@ class TestRunExperiment:
         traces = {}
         for rep in reversed(range(3)):  # deliberately out of order
             traces[rep] = run_replication(
-                env, config.policy, config.learning, _replication_rng(config.seed, rep)
+                env, config.policy, config.learning, _replication_rng(config.seed, rep),
+                _fading_rng(config.seed, rep),
             )
         manual = np.mean([traces[rep].system_throughput for rep in range(3)], axis=0)
         assert np.allclose(results.mean_throughput, manual)
@@ -184,6 +201,114 @@ class TestRunExperiment:
         results = rm.run_experiment(small_config(policy="noncoop"))
         assert results.rep_final_alpha_ratio.shape == (2, 2, 2)
         assert np.isnan(results.rep_final_alpha_ratio).all()
+
+
+def capture_traces(monkeypatch):
+    """Record every ``ReplicationTrace`` that ``run_experiment`` computes."""
+    traces = []
+
+    def recording(*args, **kwargs):
+        traces.append(run_replication(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(harness, "run_replication", recording)
+    return traces
+
+
+def trace_bytes(trace):
+    return b"".join(array.tobytes() for array in trace)
+
+
+class TestFadingStream:
+    def test_chunk_size_changes_no_byte(self, monkeypatch, tmp_path):
+        config = small_config(topology=rm.TopologyParams(num_cus=3, num_d2d=2),
+                              learning=rm.LearningParams(horizon=50), fixed_topology=False)
+        outputs = []
+        for chunk_rows in (None, 1, 3):
+            if chunk_rows is not None:  # a few rows a chunk; 3 does not divide 50
+                links = config.topology.num_cus + 2 * config.topology.num_d2d
+                monkeypatch.setattr(harness, "FADING_CHUNK_ELEMENTS", chunk_rows * links)
+            traces = capture_traces(monkeypatch)
+            rm.emit_csv(rm.run_experiment(config), tmp_path / "out.csv")
+            outputs.append(((tmp_path / "out.csv").read_bytes(),
+                            [trace_bytes(trace) for trace in traces]))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("fixed_topology", [True, False])
+    def test_replication_trace_does_not_depend_on_replication_count(
+            self, monkeypatch, fixed_topology):
+        per_count = {}
+        for reps in (1, 3):
+            traces = capture_traces(monkeypatch)
+            rm.run_experiment(small_config(policy="epsilon_greedy", num_replications=reps,
+                                           fixed_topology=fixed_topology))
+            per_count[reps] = [trace_bytes(trace) for trace in traces]
+        assert per_count[1] == per_count[3][:1]
+        assert len(set(per_count[3])) == 3
+
+    def test_column_means_match_expected_log_rates(self, env22):
+        periods = 20_000
+        table = np.array(list(rows(env22, 23, periods)))
+        assert table.shape == (periods, env22.num_cus + 2 * env22.num_d2d)
+        expected = rm.expected_log_rate(env22.snr_scales)
+        standard_error = table.std(axis=0, ddof=1) / math.sqrt(periods)
+        assert (np.abs(table.mean(axis=0) - expected) < 4 * standard_error).all()
+        # the columns are the CU->BS, DT->BS and DT->DR links, in that order
+        num_cus, num_d2d = env22.num_cus, env22.num_d2d
+        assert np.allclose(expected[:num_cus], env22.direct_rates, rtol=1e-12)
+        assert np.allclose(expected[num_cus + num_d2d:], env22.d2d_rates, rtol=1e-12)
+        relay = 0.5 * (expected[:num_cus, None] + expected[None, num_cus:num_cus + num_d2d])
+        assert np.allclose(relay, env22.relay_rates, rtol=1e-12)
+
+    @pytest.mark.parametrize("links", [3, 14, 3 * FADING_CHUNK_ELEMENTS // 2])
+    def test_chunk_fits_the_bytes_run_bytes_counts(self, links):
+        counted = max(FADING_CHUNK_ELEMENTS, links) * rm.params._BYTES_PER_FADING_SAMPLE
+        snr = np.full(links, 10.0)
+        tracemalloc.start()
+        try:
+            row = next(fading_rows(snr, 10**6, np.random.default_rng(0)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(row) == links
+        assert peak <= counted
+
+
+class TestStabilityCache:
+    def test_capped_cache_stays_bounded_and_changes_no_indicator(self, monkeypatch, sysp):
+        config = small_config(topology=rm.TopologyParams(num_cus=4, num_d2d=5),
+                              policy="random", learning=rm.LearningParams(horizon=300))
+        topology = rm.generate_topology(config.topology, _topology_rng(config.seed, None))
+        series, cached = [], []
+        for cap in (STABILITY_CACHE_SIZE, 3):
+            monkeypatch.setattr(harness, "STABILITY_CACHE_SIZE", cap)
+            env = SimEnvironment(topology, sysp)
+            trace = run_replication(env, "random", config.learning,
+                                    _replication_rng(config.seed, 0), _fading_rng(config.seed, 0))
+            series.append(trace.sm_indicator)
+            cached.append(len(env._stability_cache))
+        assert cached[0] > 3  # the run saw more matchings than the small cap holds
+        assert cached[1] == 3
+        assert series[0].any() and not series[0].all()
+        assert np.array_equal(series[0], series[1])
+
+    def test_full_cache_fits_the_bytes_run_bytes_counts(self, sysp):
+        num_cus = num_d2d = 20
+        topology = rm.generate_topology(rm.TopologyParams(num_cus=num_cus, num_d2d=num_d2d),
+                                        _topology_rng(3, None))
+        env = SimEnvironment(topology, sysp)
+        draw = random.Random(3)
+        cus = list(range(num_cus))
+        for _ in range(STABILITY_CACHE_SIZE + 100):
+            draw.shuffle(cus)
+            env.matching_is_stable([m if m < num_d2d - 2 else None for m in cus[:num_d2d]])
+        cache = env._stability_cache
+        assert len(cache) == STABILITY_CACHE_SIZE
+        # the dict and its key tuples; the values and the keys' items are shared objects
+        size = sys.getsizeof(cache) + sum(map(sys.getsizeof, cache))
+        assert size <= STABILITY_CACHE_SIZE * (rm.params._BYTES_PER_CACHE_ENTRY
+                                               + num_d2d * rm.params._BYTES_PER_CACHE_KEY_ITEM)
 
 
 class TestCsvAndManifest:

@@ -10,7 +10,7 @@ import relaymatch as rm
 from relaymatch import learners
 from relaymatch.config_io import load_config
 from relaymatch.game import PASS, Proposal
-from relaymatch.harness import _replication_rng, _topology_rng
+from relaymatch.harness import _fading_rng, _replication_rng, _topology_rng, fading_rows
 from relaymatch.learners import PeriodObservation, PublicRecord, epsilon_schedule
 
 LEARN = rm.LearningParams()
@@ -253,8 +253,9 @@ class TestPublicRecord:
         record = agents[0].record
         assert all(agent.record is record for agent in agents)
         rng = random.Random(3)
-        for t in range(1, LEARN.memory_length + 4):
-            rm.run_period(env, agents, t, rng)
+        rows = fading_rows(env.snr_scales, LEARN.memory_length + 3, np.random.default_rng(3))
+        for t, fading in enumerate(rows, start=1):
+            rm.run_period(env, agents, t, rng, fading)
             assert len(record.memory) == min(t, LEARN.memory_length)
             assert record.memory[-1] == tuple(agent.last_action for agent in agents)
         assert rm.make_agents("ebriq", env, LEARN)[0].record is not record
@@ -292,8 +293,9 @@ class TestTables:
         env = rm.SimEnvironment(topology, config.system)
         agents = rm.make_agents("ebriq", env, config.learning)
         rng = _replication_rng(config.seed, 0)
-        for t in range(1, 301):
-            rm.run_period(env, agents, t, rng)
+        rows = fading_rows(env.snr_scales, 300, _fading_rng(config.seed, 0))
+        for t, fading in enumerate(rows, start=1):
+            rm.run_period(env, agents, t, rng, fading)
         record = agents[0].record
         bias = env.rule.bias
         assert record.bias == bias
