@@ -22,7 +22,6 @@ from .config_io import write_manifest
 from .errors import CapacityError, ConfigurationError
 from .game import (
     Proposal,
-    TieBreakRule,
     better_reply_path,
     enumerate_pne,
     game_utility,

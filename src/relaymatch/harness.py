@@ -36,7 +36,7 @@ import numpy as np
 from .channel import Topology, generate_topology, sample_log_rates, snr_scales, true_rates
 from .config_io import write_manifest
 from .errors import ConfigurationError
-from .game import TieBreakRule, check_negotiation_cost, choice_winners
+from .game import check_negotiation_cost, choice_winners
 from .learners import (
     EbriQAgent,
     EpsilonGreedyAgent,
@@ -97,7 +97,6 @@ class SimEnvironment:
         self.rates = true_rates(topology, sys)
         self.prefs = build_preferences(self.rates, sys)
         check_negotiation_cost(self.prefs, sys)
-        self.rule = TieBreakRule.for_instance(self.prefs)
         self.snr_scales = np.concatenate(snr_scales(topology, sys))  # CU->BS, DT->BS, DT->DR
         self.direct_rates = [float(r) for r in self.rates.direct_rates]
         self.relay_rates = [list(map(float, row)) for row in self.rates.relay_rates]
@@ -130,11 +129,10 @@ def make_agents(policy: str, env: SimEnvironment, learning: LearningParams,
     """Fresh per-CU agents for one replication."""
     m_range = range(env.num_cus)
     if policy == "ebriq":
-        record = PublicRecord(env.num_cus, env.num_d2d, env.sys, learning.memory_length,
-                              env.rule.bias)
+        record = PublicRecord(env.num_cus, env.num_d2d, env.sys, learning.memory_length)
         return [
             EbriQAgent(m, env.num_cus, env.num_d2d, env.direct_rates[m],
-                       env.sys, learning, env.rule.bias, record)
+                       env.sys, learning, record)
             for m in m_range
         ]
     if policy == "epsilon_greedy":
@@ -170,7 +168,7 @@ def run_period(env: SimEnvironment, agents, t: int, rng: _random.Random, fading,
     ``fading[M + N + n]``, and an unmatched CU's direct rate ``fading[m]``.
     """
     proposals = tuple([agent.act(t, rng) for agent in agents])
-    winners = tuple(choice_winners(proposals, env.rule, env.num_d2d))
+    winners = tuple(choice_winners(proposals, env.num_d2d))
 
     num_cus = env.num_cus
     own = num_cus + env.num_d2d  # column of pair 0's DT->DR link

@@ -19,20 +19,17 @@ and the memory of joint selections, lives in one ``PublicRecord`` shared by
 all agents of a replication and updated once per period.
 
 The scoring reads tables kept up to date where their inputs change, not
-recomputed per call: the record keeps every announced allocation's bid (the
-allocation plus its CU's tie-break bias), and an ``EbriQAgent`` keeps its own
-bid row and the value of winning each pair. The inputs of a table change
-only through its owner's methods: ``PublicRecord.observe`` and ``announce``
-for the record, ``set_estimate`` (which ``record_cooperation`` calls) for an
-agent. Each entry is the same float expression the choice rule would
-compute, so caching changes no result.
+recomputed per call: the record keeps every announced allocation, and an
+``EbriQAgent`` its own allocations and the value of winning each pair, which
+only ``set_estimate`` (which ``record_cooperation`` calls) changes. Each entry
+is the float expression recomputation would give, so caching changes no result.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from operator import add
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .game import PASS, Proposal, lost_pairs
 from .params import LearningParams, SystemParams
@@ -71,45 +68,29 @@ class PublicRecord:
 
     ``announced_alphas[m][n]`` is the last bargained allocation CU ``m``
     announced to pair ``n`` (exploration announcements are skipped; the
-    start value is ``alpha_low``), and ``bids[m][n]`` is that allocation plus
-    the CU's tie-break bias ``bias[m]``, the bid the pair would compare.
-    ``memory`` holds the last ``memory_length`` joint target selections.
-    ``observe`` applies one period's observation; given the same observation
-    object again it does nothing, so every agent of the replication can pass
-    it on. Write an announcement only through ``observe`` or ``announce``,
-    which keep the two tables in step.
+    start value is ``alpha_low``). ``memory`` holds the last
+    ``memory_length`` joint target selections. ``observe`` applies one
+    period's observation; given the same observation object again it does
+    nothing, so every agent of the replication can pass it on.
     """
 
-    __slots__ = ("announced_alphas", "bids", "bias", "memory", "_alpha_explore", "_last")
+    __slots__ = ("announced_alphas", "memory", "_alpha_explore", "_last")
 
-    def __init__(self, num_cus: int, num_d2d: int, sys: SystemParams, memory_length: int,
-                 bias: Sequence[float]):
-        self.bias = tuple(bias)
-        if len(self.bias) != num_cus:
-            raise ValueError(f"need one bias per CU ({num_cus}), got {len(self.bias)}")
+    def __init__(self, num_cus: int, num_d2d: int, sys: SystemParams, memory_length: int):
         self.announced_alphas = [[sys.alpha_low] * num_d2d for _ in range(num_cus)]
-        self.bids = [[sys.alpha_low + b] * num_d2d for b in self.bias]
         self.memory = deque(maxlen=memory_length)
         self._alpha_explore = sys.alpha_explore
         self._last = None
-
-    def announce(self, m: int, n: int, alpha: float) -> None:
-        """Record ``alpha`` as CU ``m``'s announced allocation to pair ``n``."""
-        self.announced_alphas[m][n] = alpha
-        self.bids[m][n] = alpha + self.bias[m]
 
     def observe(self, obs: PeriodObservation) -> None:
         if obs is self._last:
             return
         self._last = obs
         announced = self.announced_alphas
-        bids = self.bids
-        bias = self.bias
         alpha_explore = self._alpha_explore
         for m, (n, alpha) in enumerate(obs.proposals):
             if n is not None and alpha != alpha_explore:
                 announced[m][n] = alpha
-                bids[m][n] = alpha + bias[m]
         self.memory.append(tuple([p.target for p in obs.proposals]))
 
 
@@ -193,30 +174,25 @@ class EbriQAgent(_RateEstimator):
 
     Updates: the chosen pair's rate estimate and implied allocation, and the
     shared ``record`` (other CUs' announced allocations and the selection
-    memory). Agents of one replication share one record, built with the
-    same biases; an agent built without one gets its own.
+    memory). Agents of one replication share one record; an agent built
+    without one gets its own.
 
-    ``bids[n]`` is this CU's bid at pair ``n`` (its allocation estimate plus
-    its bias) and ``win_value[n]`` its estimated payoff when pair ``n`` picks
-    it, ``(1 - alpha) * estimate - direct_rate - theta``; ``set_estimate``
-    keeps both in step with the estimates.
+    ``win_value[n]`` is this CU's estimated payoff when pair ``n`` picks it,
+    ``(1 - alpha) * estimate - direct_rate - theta``; ``set_estimate`` keeps
+    it in step with the estimates.
     """
 
-    __slots__ = ("params", "bias", "record", "last_action", "bids", "win_value")
+    __slots__ = ("params", "record", "last_action", "win_value")
 
     def __init__(self, index: int, num_cus: int, num_d2d: int, direct_rate: float,
-                 sys: SystemParams, params: LearningParams, bias: Sequence[float],
+                 sys: SystemParams, params: LearningParams,
                  record: Optional[PublicRecord] = None):
         super().__init__(index, num_cus, num_d2d, direct_rate, sys)
         self.params = params
-        self.bias = tuple(bias)
         if record is None:
-            record = PublicRecord(num_cus, num_d2d, sys, params.memory_length, self.bias)
-        elif record.bias != self.bias:
-            raise ValueError("the shared record was built with other biases")
+            record = PublicRecord(num_cus, num_d2d, sys, params.memory_length)
         self.record = record
         self.last_action = None
-        self.bids = [0.0] * num_d2d
         self.win_value = [0.0] * num_d2d
         for n, estimate in enumerate(self.rate_estimates):
             self.set_estimate(n, estimate)
@@ -226,7 +202,6 @@ class EbriQAgent(_RateEstimator):
         alpha = self._alpha_of(estimate)
         self.rate_estimates[n] = estimate
         self.own_alphas[n] = alpha
-        self.bids[n] = alpha + self.bias[self.index]
         self.win_value[n] = (1.0 - alpha) * estimate - self.direct_rate - self.sys.theta
 
     def act(self, t: int, rng) -> Proposal:
@@ -262,19 +237,18 @@ class EbriQAgent(_RateEstimator):
         entry is ignored), targeting pair ``n`` earns the estimated
         cooperation gain minus the negotiation cost when ``n`` would pick
         this CU, and minus the cost alone when it would pick another, by
-        ``game.lost_pairs`` over the record's bids.
+        ``game.lost_pairs`` over the record's announced allocations.
         """
         me = self.index
         theta = self.sys.theta
-        bid_table = self.record.bids
-        bids = self.bids
+        announced = self.record.announced_alphas
         win_value = self.win_value
         scores = None
         previous = None
         for entry in joint_selections:
             if entry != previous:  # once play settles, consecutive entries repeat
                 previous = entry
-                lost = lost_pairs(me, entry, bid_table, bids)
+                lost = lost_pairs(me, entry, announced, self.own_alphas)
                 gains = win_value.copy() if lost else win_value
                 for n in lost:
                     gains[n] = -theta

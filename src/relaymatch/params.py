@@ -142,9 +142,9 @@ MAX_RUN_BYTES = 4 * 2**30
 # plus one replication's trace (three float64 series and a bool one).
 _BYTES_PER_PERIOD = 10 * 8 + 3 * 8 + 1
 # Per CU/pair cell of an instance: the rate and score tables and the per-cell
-# lists of the environment and the learning agents (about 90 and 130 bytes,
-# measured with tracemalloc on 100x100 and 200x300 instances).
-_BYTES_PER_CELL = 224
+# lists of the environment and the ebriq agents (tracemalloc peaks of 185 and
+# 180 bytes on 100x100 and 200x300 instances, about half each).
+_BYTES_PER_CELL = 192
 # Per replication: its final alpha-ratio table (8 bytes a cell) and two summaries.
 _BYTES_PER_REPLICATION_CELL = 8
 _BYTES_PER_REPLICATION = 2 * 8

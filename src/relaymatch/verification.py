@@ -25,7 +25,7 @@ import numpy as np
 
 from .bargaining import nbs_alpha, nbs_alpha_oracle
 from .channel import RateTable
-from .game import TieBreakRule, better_reply_path, enumerate_pne, induced_matching
+from .game import better_reply_path, enumerate_pne, induced_matching
 from .matching import (
     Matching,
     build_preferences,
@@ -167,9 +167,8 @@ def verify_theorem1(num_instances: int = 100, seed: int = 1_2003) -> SuiteReport
         num_cus = int(rng.integers(2, 4))
         num_d2d = int(rng.integers(2, 4))
         prefs = random_preferences(num_cus, num_d2d, rng, sys)
-        rule = TieBreakRule.for_instance(prefs)
-        equilibria = enumerate_pne(prefs, sys, rule)
-        induced = {induced_matching(b, prefs, sys, rule) for b in equilibria}
+        equilibria = enumerate_pne(prefs, sys)
+        induced = {induced_matching(b, prefs, sys) for b in equilibria}
         stable = set(enumerate_stable_matchings(prefs))
         if induced != stable:
             mismatched += 1
@@ -193,12 +192,11 @@ def verify_theorem2(num_instances: int = 20, starts_per_instance: int = 100,
         num_cus = int(rng.integers(2, 4))
         num_d2d = int(rng.integers(2, 4))
         prefs = random_preferences(num_cus, num_d2d, rng, sys)
-        rule = TieBreakRule.for_instance(prefs)
-        pne_set = set(enumerate_pne(prefs, sys, rule))
+        pne_set = set(enumerate_pne(prefs, sys))
         actions = (None, *range(num_d2d))
         for s in range(starts_per_instance):
             profile = tuple(actions[rng.integers(len(actions))] for _ in range(num_cus))
-            path = better_reply_path(profile, prefs, sys, rule, seed=instance * 1000 + s)
+            path = better_reply_path(profile, prefs, sys, seed=instance * 1000 + s)
             total += 1
             if path[-1] not in pne_set:
                 bad_endpoints += 1

@@ -190,7 +190,7 @@ def test_policy_throughput_ordering(comparison_results):
 def test_estimator_exactness():
     rng = np.random.default_rng(1_2008)
     sysp = rm.SystemParams()
-    agent = rm.EbriQAgent(0, 2, 3, 2.3, sysp, rm.LearningParams(), bias=(1e-6, 2e-6))
+    agent = rm.EbriQAgent(0, 2, 3, 2.3, sysp, rm.LearningParams())
     init = agent.rate_estimates[1]
     samples = rng.uniform(0.5, 8.0, 137)
     for r in samples:

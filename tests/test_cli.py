@@ -119,7 +119,7 @@ def test_mean_snr_underflowing_to_zero_is_config_error(tmp_path, section, key, v
 
 @pytest.mark.parametrize("config_text, horizon, size", [
     ("", 10**12, "95.5 TiB"),
-    ("[topology]\nnum_cus = 100000\nnum_d2d = 100000\n", 5, "2.11 TiB"),
+    ("[topology]\nnum_cus = 100000\nnum_d2d = 100000\n", 5, "1.82 TiB"),
 ])
 def test_config_too_large_to_run_is_config_error(tmp_path, config_text, horizon, size):
     # Both used to end in numpy's _ArrayMemoryError with exit 1.

@@ -48,13 +48,13 @@ REPLICATIONS = 2
 
 GOLDEN = {
     ("small_network.ini", "ebriq", "sampled"):
-        "46ef6cfdf9f448454e667a2509d4a187884a372fc890112bd0115fcff24bb4fd",
+        "c2506c12909e3c5cd630ddf27f317240df63679b54810654439b48bccf8963f6",
     ("small_network.ini", "ebriq", "expected"):
-        "4aaa00829c7c6c32d238838f239c5da0a9a32e48ab29e4a0173cfc8a6f6acd9b",
+        "34ece692473b6e4e8b6753c09073c8abfe464e8d098560de6aecd2a963067894",
     ("small_network.ini", "epsilon_greedy", "sampled"):
-        "3a07c5d1e8b12ecb9792b8947e6df34b5e8c592176d39ce41e82357c03e5dd37",
+        "85aeda6094324af8aa88631af75b47fbd962eee74f05f990cadd0720a15538b4",
     ("small_network.ini", "epsilon_greedy", "expected"):
-        "c9e37166536d1eb9429f351f35f41c3f49bde2c7e65c2b3d82ee8c0c0199486e",
+        "c90d9fca4f328dd5da808fddd557d9099deb09c3f27bf5dc60d940a38c247885",
     ("small_network.ini", "random", "sampled"):
         "2dc8495a8a4736098a4bb8ee6456a804933f98d3c0bd60979d1be12ad733dd7c",
     ("small_network.ini", "random", "expected"):
@@ -68,13 +68,13 @@ GOLDEN = {
     ("small_network.ini", "gs_oracle", "expected"):
         "73e987f00bc3a933290c634376132f1627bfed776a5386cd7c5a46f579870eaa",
     ("comparison.ini", "ebriq", "sampled"):
-        "8dd06ac5d972d9c8a8603926379fcd47322bf6748cdc5ca2b9688de4d5e26952",
+        "817c723111c7272dbab873996429599a96f72dbb02a5a07fce12b586e8d297a3",
     ("comparison.ini", "ebriq", "expected"):
-        "7fa494fb11b15a84d52f5c0e0b15662359426b72e2d5bc2f4fd41990354ac975",
+        "0d85a91b96659f03efbb7d074e54fac05346e126708717515678b8c6b1bf46cd",
     ("comparison.ini", "epsilon_greedy", "sampled"):
-        "332a9efba9292cb54c1429f8693136eafd6157e5fa9cafb62c73cfd86e1db45f",
+        "de1b6f8d1d0b1952aadd39bfa189fb5ad5a856beb5ccd06e291e94e8f8a6167e",
     ("comparison.ini", "epsilon_greedy", "expected"):
-        "76fda8b5f3cf573f9c5363169bd28282af202ed4292ccc96820bb5a435c0a652",
+        "63a7323cf956182b07f1b949b54abfffe53cbabc738c6a35db2c7292c20b9ad5",
     ("comparison.ini", "random", "sampled"):
         "e64f65ec92c5793282ec9aa5b1e456ae0fe2265ec547c2a7035212d6989ba85e",
     ("comparison.ini", "random", "expected"):

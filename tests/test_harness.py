@@ -78,6 +78,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match=r"needs about 4 GiB .* limit of 4 GiB"):
             small_config(num_replications=most + 1)
 
+    def test_instance_tables_fit_the_bytes_run_bytes_counts(self, sysp):
+        topology = rm.generate_topology(rm.TopologyParams(num_cus=100, num_d2d=100),
+                                        _topology_rng(3, None))
+        tracemalloc.start()
+        try:
+            agents = rm.make_agents("ebriq", SimEnvironment(topology, sysp), rm.LearningParams())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(agents) == 100
+        assert peak <= 100 * 100 * rm.params._BYTES_PER_CELL
+
 
 def rows(env, seed, horizon=1):
     """The first ``horizon`` fading rows of ``env`` from a Generator seeded with ``seed``."""
@@ -86,6 +98,15 @@ def rows(env, seed, horizon=1):
 
 def first_row(env, seed):
     return next(rows(env, seed))
+
+
+class ObservingAgent(rm.FixedProposalAgent):
+    """A fixed proposal that keeps the last observation it was handed."""
+
+    __slots__ = ("seen",)
+
+    def update(self, obs, t):
+        self.seen = obs
 
 
 class TestRunPeriod:
@@ -147,6 +168,21 @@ class TestRunPeriod:
             if mu.cu_partner[m] is None:
                 cu_total += math.log1p(c[m] * eta[m])
         assert metrics.cu_throughput == pytest.approx(cu_total)
+
+    def test_a_pair_takes_the_larger_offer_however_small_the_margin(self):
+        config = load_config(CONFIGS / "small_network.ini")
+        topology = rm.generate_topology(config.topology, _topology_rng(config.seed, None))
+        env = SimEnvironment(topology, config.system)
+        # Finer than any gap between the instance's own allocations.
+        margin = np.diff(np.unique(env.prefs.d2d_scores)).min() / 8
+        alpha = env.alpha_star[0][0]
+        agents = [ObservingAgent(0, alpha), ObservingAgent(0, alpha + margin)]
+        metrics = rm.run_period(env, agents, 1, random.Random(0), first_row(env, 0))
+        assert agents[0].seen.d2d_choices == (1, None)
+        assert metrics.num_matched == 1
+        agents = [ObservingAgent(0, alpha), ObservingAgent(0, alpha)]
+        rm.run_period(env, agents, 1, random.Random(0), first_row(env, 0))
+        assert agents[0].seen.d2d_choices == (0, None)  # an exact tie: the lower index
 
     def test_expected_mode_noncoop_is_flat_and_exact(self, env22):
         agents = [rm.NonCoopAgent() for _ in range(env22.num_cus)]

@@ -28,8 +28,7 @@ class ScriptedRng:
 
 
 def make_agent(sysp, index=0, num_cus=2, num_d2d=2, direct_rate=1.0, params=LEARN):
-    bias = tuple((i + 1) * 1e-6 for i in range(num_cus))
-    return rm.EbriQAgent(index, num_cus, num_d2d, direct_rate, sysp, params, bias)
+    return rm.EbriQAgent(index, num_cus, num_d2d, direct_rate, sysp, params)
 
 
 def obs_for(agent, proposals, choices):
@@ -261,10 +260,8 @@ class TestPublicRecord:
         assert rm.make_agents("ebriq", env, LEARN)[0].record is not record
 
     def test_one_observation_advances_the_record_once(self, sysp):
-        bias = (1e-6, 2e-6, 3e-6)
-        record = PublicRecord(3, 2, sysp, LEARN.memory_length, bias)
-        agents = [rm.EbriQAgent(m, 3, 2, 1.0, sysp, LEARN, bias, record)
-                  for m in range(3)]
+        record = PublicRecord(3, 2, sysp, LEARN.memory_length)
+        agents = [rm.EbriQAgent(m, 3, 2, 1.0, sysp, LEARN, record) for m in range(3)]
         proposals = (Proposal(0, 0.2), Proposal(0, 0.3), PASS)
         obs = PeriodObservation(proposals, (1, None), (None, 1.5, None))
         for agent in agents:
@@ -297,12 +294,8 @@ class TestTables:
         for t, fading in enumerate(rows, start=1):
             rm.run_period(env, agents, t, rng, fading)
         record = agents[0].record
-        bias = env.rule.bias
-        assert record.bias == bias
         theta = config.system.theta
-        for m, agent in enumerate(agents):
-            assert record.bids[m] == [alpha + bias[m] for alpha in record.announced_alphas[m]]
-            assert agent.bids == [alpha + bias[m] for alpha in agent.own_alphas]
+        for agent in agents:
             assert agent.win_value == [
                 (1.0 - alpha) * estimate - agent.direct_rate - theta
                 for alpha, estimate in zip(agent.own_alphas, agent.rate_estimates)
@@ -311,13 +304,6 @@ class TestTables:
         # the run moved the tables off their start values
         assert any(a != config.system.alpha_low for row in record.announced_alphas for a in row)
         assert all(sum(agent.coop_counts) > 0 for agent in agents)
-
-    def test_record_and_agents_must_share_biases(self, sysp):
-        record = PublicRecord(2, 2, sysp, LEARN.memory_length, (2e-6, 1e-6))
-        with pytest.raises(ValueError, match="other biases"):
-            rm.EbriQAgent(0, 2, 2, 1.0, sysp, LEARN, (1e-6, 2e-6), record)
-        with pytest.raises(ValueError, match="one bias per CU"):
-            PublicRecord(3, 2, sysp, LEARN.memory_length, (2e-6, 1e-6))
 
 
 class TestEstimatedUtility:
@@ -335,8 +321,21 @@ class TestEstimatedUtility:
         agent = make_agent(sysp)
         agent.set_estimate(0, 5 / 3)
         assert agent.own_alphas[0] == pytest.approx(0.2)
-        agent.record.announce(1, 0, 0.3)
+        agent.record.announced_alphas[1][0] = 0.3
         assert agent.estimated_utility(0, (None, 0)) == pytest.approx(-sysp.theta)
+
+    def test_a_rival_offering_slightly_less_loses_the_pair(self):
+        config = load_config(CONFIGS / "small_network.ini")
+        topology = rm.generate_topology(config.topology, _topology_rng(config.seed, None))
+        env = rm.SimEnvironment(topology, config.system)
+        agent = rm.make_agents("ebriq", env, config.learning)[1]
+        # Finer than any gap between the instance's own allocations.
+        margin = np.diff(np.unique(env.prefs.d2d_scores)).min() / 8
+        announced = agent.record.announced_alphas
+        announced[0][0] = agent.own_alphas[0] - margin
+        assert agent.estimated_utility(0, (0, None)) == agent.win_value[0]
+        announced[0][0] = agent.own_alphas[0]  # an exact tie goes to the lower index
+        assert agent.estimated_utility(0, (0, None)) == -config.system.theta
 
     def test_memory_scores_sum_single_evaluations(self, sysp):
         rng = np.random.default_rng(17)
@@ -345,7 +344,7 @@ class TestEstimatedUtility:
             agent.set_estimate(n, estimate)
         for m in range(3):
             for n in range(3):
-                agent.record.announce(m, n, float(rng.uniform(0.1, 0.5)))
+                agent.record.announced_alphas[m][n] = float(rng.uniform(0.1, 0.5))
         entries = [
             tuple(None if rng.random() < 0.3 else int(rng.integers(3)) for _ in range(3))
             for _ in range(4)
