@@ -20,9 +20,10 @@ all agents of a replication and updated once per period.
 
 The scoring reads tables kept up to date where their inputs change, not
 recomputed per call: the record keeps every announced allocation, and an
-``EbriQAgent`` its own allocations and the value of winning each pair, which
-only ``set_estimate`` (which ``record_cooperation`` calls) changes. Each entry
-is the float expression recomputation would give, so caching changes no result.
+``EbriQAgent`` keeps its own allocations and the value of winning each pair,
+changed only by ``set_estimate`` (which ``record_cooperation`` calls). Each
+entry is the float expression recomputation would give, so caching changes
+no result.
 """
 
 from __future__ import annotations
