@@ -41,7 +41,6 @@ from .learners import (
     EbriQAgent,
     EpsilonGreedyAgent,
     FixedProposalAgent,
-    NonCoopAgent,
     PeriodObservation,
     RandomAgent,
     epsilon_schedule,

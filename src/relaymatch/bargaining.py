@@ -12,6 +12,9 @@ A cooperation is worthwhile for the CU only when its utility at alpha* is
 strictly positive; the D2D side always gains because alpha is bounded away
 from zero. When no allocation gives the CU a gain, alpha* is still reported
 (the clamped formula value) with ``feasible=False``.
+
+The split is coded here once, in ``bargained_alpha``: the matching scores the
+true rates with it, and the learners their relay-rate estimates.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .params import SystemParams
 
 __all__ = [
     "BargainOutcome",
+    "bargained_alpha",
     "cu_utility",
     "d2d_utility",
     "nbs_alpha",
@@ -56,29 +60,36 @@ def _check_rates(relay_rate: float, direct_rate: float) -> None:
         )
 
 
-def nbs_alpha(relay_rate: float, direct_rate: float, sys: SystemParams,
-              d2d_rate: float = 1.0) -> BargainOutcome:
+def bargained_alpha(relay_rate: float, direct_rate: float, sys: SystemParams) -> float:
+    """The bargained allocation (r - d) / (2r), clamped to the allowed interval."""
+    alpha = (relay_rate - direct_rate) / (2.0 * relay_rate)
+    if alpha < sys.alpha_low:
+        return sys.alpha_low
+    if alpha > sys.alpha_high:
+        return sys.alpha_high
+    return alpha
+
+
+def nbs_alpha(relay_rate: float, direct_rate: float, sys: SystemParams) -> BargainOutcome:
     """Closed-form bargained time allocation for one CU / D2D pair.
 
-    ``d2d_rate`` only scales the reported D2D utility; the optimal alpha does
-    not depend on it (with the default 1.0 the D2D utility equals alpha*).
+    The D2D utility is reported per unit D2D rate, so it equals alpha*.
     """
     _check_rates(relay_rate, direct_rate)
-    unclamped = (relay_rate - direct_rate) / (2.0 * relay_rate)
-    alpha = min(max(unclamped, sys.alpha_low), sys.alpha_high)
+    alpha = bargained_alpha(relay_rate, direct_rate, sys)
     u_cu = cu_utility(alpha, relay_rate, direct_rate)
-    u_d2d = d2d_utility(alpha, d2d_rate)
-    return BargainOutcome(alpha, u_cu, u_d2d, feasible=u_cu > 0 and u_d2d > 0)
+    return BargainOutcome(alpha, u_cu, alpha, feasible=u_cu > 0 and alpha > 0)
 
 
 def nbs_alpha_oracle(relay_rate: float, direct_rate: float, sys: SystemParams,
-                     grid_step: float = 1e-4, d2d_rate: float = 1.0) -> BargainOutcome:
+                     grid_step: float = 1e-4) -> BargainOutcome:
     """Grid-search reference for ``nbs_alpha``.
 
     Maximizes the product of the two utility gains over an alpha grid that
     includes both interval endpoints, subject to both gains being strictly
-    positive. If no grid point is feasible the (negative-product) argmax is
-    still reported with ``feasible=False``.
+    positive (the D2D gain per unit D2D rate, as in ``nbs_alpha``). If no
+    grid point is feasible the (negative-product) argmax is still reported
+    with ``feasible=False``.
     """
     _check_rates(relay_rate, direct_rate)
     if grid_step <= 0:
@@ -86,15 +97,11 @@ def nbs_alpha_oracle(relay_rate: float, direct_rate: float, sys: SystemParams,
     n_cells = max(1, int(np.ceil((sys.alpha_high - sys.alpha_low) / grid_step)))
     grid = np.linspace(sys.alpha_low, sys.alpha_high, n_cells + 1)
     u_cu = (1.0 - grid) * relay_rate - direct_rate
-    u_d2d = grid * d2d_rate
-    product = u_cu * u_d2d
-    feasible_mask = (u_cu > 0) & (u_d2d > 0)
-    if feasible_mask.any():
-        candidates = np.where(feasible_mask, product, -np.inf)
-        best = int(np.argmax(candidates))
-        return BargainOutcome(float(grid[best]), float(u_cu[best]), float(u_d2d[best]), True)
-    best = int(np.argmax(product))
-    return BargainOutcome(float(grid[best]), float(u_cu[best]), float(u_d2d[best]), False)
+    product = u_cu * grid
+    feasible_mask = (u_cu > 0) & (grid > 0)
+    feasible = bool(feasible_mask.any())
+    best = int(np.argmax(np.where(feasible_mask, product, -np.inf) if feasible else product))
+    return BargainOutcome(float(grid[best]), float(u_cu[best]), float(grid[best]), feasible)
 
 
 def is_acceptable(relay_rate: float, direct_rate: float, sys: SystemParams) -> bool:

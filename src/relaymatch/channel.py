@@ -149,12 +149,16 @@ def generate_topology(params: TopologyParams, rng: np.random.Generator) -> Topol
 
 
 def snr_scales(topology: Topology, sys: SystemParams):
-    """Mean-SNR factors (c values) per link class: CU->BS, DT->BS, DT->DR."""
-    return (
-        sys.p_c * topology.gain_cu_bs / sys.n_0,
-        sys.p_d * topology.gain_dt_bs / sys.n_0,
-        sys.p_d * topology.gain_dt_dr / sys.n_0,
-    )
+    """Mean-SNR factors (c values) per link class: CU->BS, DT->BS, DT->DR.
+
+    A factor too large for a float is inf, which ``true_rates`` rejects.
+    """
+    with np.errstate(over="ignore"):
+        return (
+            sys.p_c * topology.gain_cu_bs / sys.n_0,
+            sys.p_d * topology.gain_dt_bs / sys.n_0,
+            sys.p_d * topology.gain_dt_dr / sys.n_0,
+        )
 
 
 def true_rates(topology: Topology, sys: SystemParams) -> RateTable:
@@ -163,11 +167,15 @@ def true_rates(topology: Topology, sys: SystemParams) -> RateTable:
     The relayed rate for CU m via pair n is the average of the direct-leg and
     forward-leg expected log rates; the D2D rate depends only on n because
     fading is i.i.d. across the cellular channels. A mean SNR that underflows
-    to 0 (a tiny power, say, or a huge path-loss exponent) is a
-    ``ConfigurationError`` naming the link class.
+    to 0 (a tiny power, say, or a huge path-loss exponent) or overflows to
+    inf (a tiny noise power) is a ``ConfigurationError`` naming the link
+    class.
     """
     rates = []
     for link, c in zip(("CU->BS", "DT->BS", "DT->DR"), snr_scales(topology, sys)):
+        if not np.isfinite(c).all():
+            raise ConfigurationError(f"mean SNR of every {link} link must be finite, "
+                                     f"got {c.max():.3g} (power * gain / n_0)")
         try:
             rates.append(expected_log_rate(c))
         except ValueError:

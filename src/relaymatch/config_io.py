@@ -103,11 +103,11 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise OSError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"malformed config {path}: {exc}") from exc
 
     # configparser keeps [DEFAULT] out of sections() and merges its keys into
@@ -135,7 +135,7 @@ def write_manifest(config: ExperimentConfig, path) -> None:
             # str() of a float is its shortest repr, which reads back exactly.
             lines.append(f"{key} = {str(value).lower() if isinstance(value, bool) else value}")
     try:
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot write manifest to {path}: {exc}") from exc
 

@@ -98,6 +98,7 @@ def _profile_winners(profile, alphas, num_d2d: int) -> list:
 
 
 def _utilities(profile, winners, cu_scores, theta: float) -> list:
+    """Every CU's payoff under ``profile``, given every pair's choice ``winners``."""
     utils = []
     for m, n in enumerate(profile):
         if n is None:
@@ -116,23 +117,14 @@ def game_utility(m: int, profile, prefs: PreferenceProfile, sys: SystemParams) -
     minus the negotiation cost if the target picks it, and minus the cost
     alone if the target picks someone else.
     """
-    n = profile[m]
-    if n is None:
-        return 0.0
     winners = _profile_winners(profile, prefs.d2d_scores, prefs.num_d2d)
-    if winners[n] == m:
-        return float(prefs.cu_scores[m, n]) - sys.theta
-    return -sys.theta
+    return float(_utilities(profile, winners, prefs.cu_scores, sys.theta)[m])
 
 
 def induced_matching(profile, prefs: PreferenceProfile, sys: SystemParams) -> Matching:
     """The matching realized when every pair picks among the profile's proposals."""
     winners = _profile_winners(profile, prefs.d2d_scores, prefs.num_d2d)
-    cu_partner = [None] * prefs.num_cus
-    for n, m in enumerate(winners):
-        if m is not None:
-            cu_partner[m] = n
-    return Matching.from_cu_partners(cu_partner, prefs.num_d2d)
+    return Matching.from_d2d_partners(winners, prefs.num_cus)
 
 
 def _improving_moves(profile, winners, utils, alphas, cu_scores, theta: float):

@@ -41,7 +41,6 @@ from .learners import (
     EbriQAgent,
     EpsilonGreedyAgent,
     FixedProposalAgent,
-    NonCoopAgent,
     PeriodObservation,
     PublicRecord,
     RandomAgent,
@@ -114,18 +113,13 @@ class SimEnvironment:
         key = tuple(winners)
         cached = self._stability_cache.get(key)
         if cached is None:
-            cu_partner = [None] * self.num_cus
-            for n, m in enumerate(winners):
-                if m is not None:
-                    cu_partner[m] = n
-            cached = is_stable(Matching(tuple(cu_partner), key), self.prefs)
+            cached = is_stable(Matching.from_d2d_partners(key, self.num_cus), self.prefs)
             if len(self._stability_cache) < STABILITY_CACHE_SIZE:
                 self._stability_cache[key] = cached
         return cached
 
 
-def make_agents(policy: str, env: SimEnvironment, learning: LearningParams,
-                epsilon: float = 0.1) -> list:
+def make_agents(policy: str, env: SimEnvironment, learning: LearningParams) -> list:
     """Fresh per-CU agents for one replication."""
     m_range = range(env.num_cus)
     if policy == "ebriq":
@@ -137,14 +131,13 @@ def make_agents(policy: str, env: SimEnvironment, learning: LearningParams,
         ]
     if policy == "epsilon_greedy":
         return [
-            EpsilonGreedyAgent(m, env.num_cus, env.num_d2d, env.direct_rates[m],
-                               env.sys, epsilon=epsilon)
+            EpsilonGreedyAgent(m, env.num_cus, env.num_d2d, env.direct_rates[m], env.sys)
             for m in m_range
         ]
     if policy == "random":
         return [RandomAgent(env.num_d2d, env.sys) for _ in m_range]
     if policy == "noncoop":
-        return [NonCoopAgent() for _ in m_range]
+        return [FixedProposalAgent(None, None) for _ in m_range]
     if policy == "gs_oracle":
         mu = gale_shapley(env.prefs)
         return [
@@ -232,13 +225,12 @@ def fading_rows(snr_scale: np.ndarray, horizon: int, rng: np.random.Generator):
 
 def run_replication(env: SimEnvironment, policy: str, learning: LearningParams,
                     rng: _random.Random, fading_rng: np.random.Generator,
-                    horizon: Optional[int] = None,
                     throughput_mode: str = "sampled") -> ReplicationTrace:
-    """Simulate one seeded replication over the full horizon.
+    """Simulate one seeded replication over ``learning.horizon`` periods.
 
     ``rng`` drives the agents' decisions and ``fading_rng`` the fading table.
     """
-    horizon = learning.horizon if horizon is None else horizon
+    horizon = learning.horizon
     sampled = throughput_mode == "sampled"
     agents = make_agents(policy, env, learning)
     system = np.empty(horizon)
@@ -338,7 +330,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ResultSet:
         trace = run_replication(
             env, config.policy, config.learning,
             _replication_rng(config.seed, rep), _fading_rng(config.seed, rep),
-            horizon=horizon, throughput_mode=config.throughput_mode,
+            throughput_mode=config.throughput_mode,
         )
         sum_system += trace.system_throughput
         sum_cu += trace.cu_throughput

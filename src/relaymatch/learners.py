@@ -23,7 +23,9 @@ recomputed per call: the record keeps every announced allocation, and an
 ``EbriQAgent`` keeps its own allocations and the value of winning each pair,
 changed only by ``set_estimate`` (which ``record_cooperation`` calls). Each
 entry is the float expression recomputation would give, so caching changes
-no result.
+no result. The allocation an estimate implies is ``bargaining.bargained_alpha``,
+the one place the split is coded. The non-cooperative baseline is a
+``FixedProposalAgent`` that always passes.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from collections import deque
 from operator import add
 from typing import NamedTuple, Optional
 
+from .bargaining import bargained_alpha
 from .game import PASS, Proposal, lost_pairs
 from .params import LearningParams, SystemParams
 
@@ -42,7 +45,6 @@ __all__ = [
     "EbriQAgent",
     "EpsilonGreedyAgent",
     "RandomAgent",
-    "NonCoopAgent",
     "FixedProposalAgent",
 ]
 
@@ -120,22 +122,12 @@ class _RateEstimator:
         init = direct_rate / (1.0 - sys.alpha_high) + 1e-6
         self.rate_estimates = [init] * num_d2d
         self.coop_counts = [0] * num_d2d
-        self.own_alphas = [self._alpha_of(init)] * num_d2d
-
-    def _alpha_of(self, rate_estimate: float) -> float:
-        """The bargained allocation implied by a relay-rate estimate, clamped."""
-        alpha = (rate_estimate - self.direct_rate) / (2.0 * rate_estimate)
-        sys = self.sys
-        if alpha < sys.alpha_low:
-            return sys.alpha_low
-        if alpha > sys.alpha_high:
-            return sys.alpha_high
-        return alpha
+        self.own_alphas = [bargained_alpha(init, direct_rate, sys)] * num_d2d
 
     def set_estimate(self, n: int, estimate: float) -> None:
         """Set pair ``n``'s relay-rate estimate and the allocation it implies."""
         self.rate_estimates[n] = estimate
-        self.own_alphas[n] = self._alpha_of(estimate)
+        self.own_alphas[n] = bargained_alpha(estimate, self.direct_rate, self.sys)
 
     def record_cooperation(self, n: int, rate_sample: float) -> None:
         self.coop_counts[n] += 1
@@ -200,7 +192,7 @@ class EbriQAgent(_RateEstimator):
 
     def set_estimate(self, n: int, estimate: float) -> None:
         # The base class's two writes, inlined: this runs on every cooperation.
-        alpha = self._alpha_of(estimate)
+        alpha = bargained_alpha(estimate, self.direct_rate, self.sys)
         self.rate_estimates[n] = estimate
         self.own_alphas[n] = alpha
         self.win_value[n] = (1.0 - alpha) * estimate - self.direct_rate - self.sys.theta
@@ -337,23 +329,8 @@ class RandomAgent:
         return self.alpha_low
 
 
-class NonCoopAgent:
-    """Never proposes; the CU always transmits on its own."""
-
-    __slots__ = ()
-
-    def act(self, t: int, rng) -> Proposal:
-        return PASS
-
-    def update(self, obs: PeriodObservation, t: int) -> None:
-        pass
-
-    def alpha_estimate(self, n: int) -> float:
-        raise RuntimeError("non-cooperating CU has no allocation estimate")
-
-
 class FixedProposalAgent:
-    """Replays one fixed proposal forever (complete-information reference)."""
+    """Replays one fixed proposal forever; ``(None, None)`` always passes."""
 
     __slots__ = ("proposal",)
 

@@ -1,20 +1,25 @@
 """One-to-one matchings between CUs and D2D pairs, and their stability.
 
 Preferences on both sides come from the bargained split at the true expected
-rates: a CU ranks pairs by its utility at the bargained allocation and only
-accepts pairs that give it a strictly positive gain; a D2D pair ranks CUs by
-the allocation they would concede. A matching is stable when every matched CU
-is on an acceptable pair and no CU/pair combination strictly prefers each
-other to their current situation.
+rates (``bargaining.nbs_alpha``; the split is coded only there): a CU ranks
+pairs by its utility at the bargained allocation and only accepts pairs that
+give it a strictly positive gain; a D2D pair ranks CUs by the allocation they
+would concede. A matching is stable when every matched CU is on an acceptable
+pair and no CU/pair combination strictly prefers each other to their current
+situation.
 
 Exact score ties are broken toward the lower index so that every ordering is
 strict and deterministic; with continuous rates ties have measure zero.
+
+Deferred acceptance, the proposal game and the simulator all end with the CU
+each pair holds, which ``Matching.from_d2d_partners`` turns into a matching.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -37,6 +42,17 @@ __all__ = [
 ]
 
 
+def _inverse(partners, size: int, side: str) -> tuple:
+    """The other side's partner list: entry j is the index i with partners[i] == j."""
+    inverse = [None] * size
+    for i, j in enumerate(partners):
+        if j is not None:
+            if inverse[j] is not None:
+                raise ValueError(f"inconsistent matching: {side} {j} claimed twice")
+            inverse[j] = i
+    return tuple(inverse)
+
+
 @dataclass(frozen=True)
 class Matching:
     """Partial one-to-one pairing; ``None`` entries are unmatched."""
@@ -54,13 +70,12 @@ class Matching:
 
     @classmethod
     def from_cu_partners(cls, cu_partner, num_d2d: int) -> "Matching":
-        d2d_partner = [None] * num_d2d
-        for m, n in enumerate(cu_partner):
-            if n is not None:
-                if d2d_partner[n] is not None:
-                    raise ValueError(f"inconsistent matching: d2d {n} claimed twice")
-                d2d_partner[n] = m
-        return cls(tuple(cu_partner), tuple(d2d_partner))
+        return cls(tuple(cu_partner), _inverse(cu_partner, num_d2d, "d2d"))
+
+    @classmethod
+    def from_d2d_partners(cls, d2d_partner, num_cus: int) -> "Matching":
+        """The matching in which pair n holds CU ``d2d_partner[n]`` (or none)."""
+        return cls(_inverse(d2d_partner, num_cus, "cu"), tuple(d2d_partner))
 
     @property
     def pairs(self):
@@ -73,17 +88,16 @@ class PreferenceProfile:
 
     ``cu_scores[m, n]`` is the CU's utility at the bargained allocation,
     ``d2d_scores[m, n]`` is that allocation itself (what the pair earns is
-    proportional to it), and ``acceptability[m, n]`` marks strictly positive
-    CU scores.
+    proportional to it), and ``acceptability[m, n]``, derived from the CU
+    scores, marks the strictly positive ones.
     """
 
     cu_scores: np.ndarray  # (M, N)
     d2d_scores: np.ndarray  # (M, N)
-    acceptability: np.ndarray = field(default=None)  # (M, N) bool
+    acceptability: np.ndarray = field(init=False)  # (M, N) bool
 
     def __post_init__(self):
-        if self.acceptability is None:
-            object.__setattr__(self, "acceptability", self.cu_scores > 0)
+        object.__setattr__(self, "acceptability", self.cu_scores > 0)
 
     @property
     def num_cus(self) -> int:
@@ -178,11 +192,7 @@ def gale_shapley(prefs: PreferenceProfile) -> Matching:
                 held[n] = m
                 break
         # exhausted list: m stays unmatched
-    cu_partner = [None] * prefs.num_cus
-    for n, m in enumerate(held):
-        if m is not None:
-            cu_partner[m] = n
-    return Matching.from_cu_partners(cu_partner, prefs.num_d2d)
+    return Matching.from_d2d_partners(held, prefs.num_cus)
 
 
 def count_matchings(num_cus: int, num_d2d: int) -> int:
@@ -194,23 +204,12 @@ def count_matchings(num_cus: int, num_d2d: int) -> int:
 
 
 def _all_matchings(num_cus: int, num_d2d: int):
-    """Yield every partial matching as a cu_partner list."""
-    def extend(m, used, partial):
-        if m == num_cus:
-            yield list(partial)
-            return
-        partial.append(None)
-        yield from extend(m + 1, used, partial)
-        partial.pop()
-        for n in range(num_d2d):
-            if n not in used:
-                used.add(n)
-                partial.append(n)
-                yield from extend(m + 1, used, partial)
-                partial.pop()
-                used.remove(n)
-
-    yield from extend(0, set(), [])
+    """Yield every partial matching as a cu_partner tuple, in lexicographic order."""
+    for cu_partner in product((None, *range(num_d2d)), repeat=num_cus):
+        pairs = set(cu_partner)
+        pairs.discard(None)
+        if len(pairs) + cu_partner.count(None) == num_cus:  # no pair taken twice
+            yield cu_partner
 
 
 def enumerate_stable_matchings(prefs: PreferenceProfile):

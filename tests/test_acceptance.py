@@ -87,7 +87,8 @@ def test_theorem2_better_reply_paths_reach_equilibria():
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo scenarios
+# Monte Carlo scenarios: the full-size runs, marked slow (``-m "not slow"``
+# leaves them out)
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,7 @@ def small_network_results():
     return rm.run_experiment(config)
 
 
+@pytest.mark.slow
 def test_learned_allocations_converge(small_network_results):
     res = small_network_results
     per_pair = np.nanmean(np.abs(res.rep_final_alpha_ratio - 1.0), axis=0)
@@ -124,6 +126,7 @@ def test_learned_allocations_converge(small_network_results):
     )
 
 
+@pytest.mark.slow
 def test_stable_matching_frequency(small_network_results):
     fraction = small_network_results.window_sm_fraction
     criterion(
@@ -158,6 +161,7 @@ def _paired_lower_bound(a: np.ndarray, b: np.ndarray) -> float:
     return float(diff.mean() - stats.t.ppf(0.95, n - 1) * diff.std(ddof=1) / math.sqrt(n))
 
 
+@pytest.mark.slow
 def test_policy_throughput_ordering(comparison_results):
     results, elapsed = comparison_results
     window = {p: r.rep_window_throughput for p, r in results.items()}

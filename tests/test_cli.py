@@ -117,6 +117,12 @@ def test_mean_snr_underflowing_to_zero_is_config_error(tmp_path, section, key, v
     assert_one_config_error_line(proc, "mean SNR of every CU->BS link must be > 0, got 0")
 
 
+def test_mean_snr_overflowing_to_inf_is_config_error(tmp_path):
+    # Used to print numpy's overflow warning, then blame the direct rates.
+    proc = simulate_in_subprocess(tmp_path, "[system]\np_c = 1e300\nn_0 = 1e-300\n")
+    assert_one_config_error_line(proc, "mean SNR of every CU->BS link must be finite, got inf")
+
+
 @pytest.mark.parametrize("config_text, horizon, size", [
     ("", 10**12, "95.5 TiB"),
     ("[topology]\nnum_cus = 100000\nnum_d2d = 100000\n", 5, "1.82 TiB"),
@@ -138,6 +144,13 @@ def test_default_section_is_an_unknown_section(tmp_path, capsys, config_text):
     path.write_text(config_text)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "configuration error: unknown section [DEFAULT]" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_is_malformed(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_bytes(b"[topology]\nnum_cus = 2\xff\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "configuration error: malformed config" in capsys.readouterr().err
 
 
 def test_missing_config_is_io_error(tmp_path, capsys):

@@ -111,7 +111,7 @@ class ObservingAgent(rm.FixedProposalAgent):
 
 class TestRunPeriod:
     def test_noncoop_throughput_is_sum_of_direct_samples(self, env22):
-        agents = [rm.NonCoopAgent() for _ in range(env22.num_cus)]
+        agents = rm.make_agents("noncoop", env22, rm.LearningParams())
         rng = random.Random(5)
         metrics = rm.run_period(env22, agents, 1, rng, first_row(env22, 5))
         eta = np.random.default_rng(5).standard_exponential(len(env22.snr_scales))
@@ -185,7 +185,7 @@ class TestRunPeriod:
         assert agents[0].seen.d2d_choices == (0, None)  # an exact tie: the lower index
 
     def test_expected_mode_noncoop_is_flat_and_exact(self, env22):
-        agents = [rm.NonCoopAgent() for _ in range(env22.num_cus)]
+        agents = rm.make_agents("noncoop", env22, rm.LearningParams())
         rng = random.Random(19)
         values = {
             rm.run_period(env22, agents, t, rng, fading, sampled=False).system_throughput

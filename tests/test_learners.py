@@ -8,6 +8,7 @@ import pytest
 
 import relaymatch as rm
 from relaymatch import learners
+from relaymatch.bargaining import bargained_alpha
 from relaymatch.config_io import load_config
 from relaymatch.game import PASS, Proposal
 from relaymatch.harness import _fading_rng, _replication_rng, _topology_rng, fading_rows
@@ -300,7 +301,8 @@ class TestTables:
                 (1.0 - alpha) * estimate - agent.direct_rate - theta
                 for alpha, estimate in zip(agent.own_alphas, agent.rate_estimates)
             ]
-            assert agent.own_alphas == [agent._alpha_of(r) for r in agent.rate_estimates]
+            assert agent.own_alphas == [bargained_alpha(r, agent.direct_rate, agent.sys)
+                                        for r in agent.rate_estimates]
         # the run moved the tables off their start values
         assert any(a != config.system.alpha_low for row in record.announced_alphas for a in row)
         assert all(sum(agent.coop_counts) > 0 for agent in agents)
@@ -414,9 +416,13 @@ class TestSimpleBaselines:
             assert abs(c / 100_000 - 0.2) < 0.01
 
     def test_noncoop_always_passes(self, sysp):
-        agent = rm.NonCoopAgent()
-        for t in (1, 2, 100):
-            assert agent.act(t, random.Random(1)) == PASS
+        topology = rm.generate_topology(rm.TopologyParams(num_cus=3, num_d2d=2),
+                                        _topology_rng(2, None))
+        agents = rm.make_agents("noncoop", rm.SimEnvironment(topology, sysp), LEARN)
+        assert len(agents) == 3
+        for agent in agents:
+            for t in (1, 2, 100):
+                assert agent.act(t, random.Random(1)) == PASS
 
     def test_fixed_proposal_agent(self):
         agent = rm.FixedProposalAgent(2, 0.3)

@@ -39,6 +39,11 @@ class TestMatchingStructure:
             rm.Matching(cu_partner=(0, None), d2d_partner=(None, None))
         with pytest.raises(ValueError, match="claimed twice"):
             rm.Matching.from_cu_partners([0, 0], 2)
+        with pytest.raises(ValueError, match="cu 1 claimed twice"):
+            rm.Matching.from_d2d_partners([1, 1, None], 2)
+        for cu_partner in ([1, None, 0], [None, None], [2, 0]):
+            mu = rm.Matching.from_cu_partners(cu_partner, 3)
+            assert rm.Matching.from_d2d_partners(mu.d2d_partner, len(cu_partner)) == mu
 
     def test_pairs(self):
         mu = rm.Matching.from_cu_partners([1, None, 0], 3)
@@ -193,5 +198,9 @@ class TestEnumerateStableMatchings:
         from relaymatch.matching import _all_matchings
 
         assert count_matchings(2, 2) == 7
-        assert sum(1 for _ in _all_matchings(2, 2)) == 7
-        assert sum(1 for _ in _all_matchings(3, 2)) == count_matchings(3, 2)
+        for num_cus in range(5):
+            for num_d2d in range(5):
+                listed = list(_all_matchings(num_cus, num_d2d))
+                assert len(set(listed)) == len(listed) == count_matchings(num_cus, num_d2d)
+                for cu_partner in listed:  # each is a valid matching
+                    rm.Matching.from_cu_partners(cu_partner, num_d2d)
